@@ -37,7 +37,7 @@ from .defaultclock import default_density, sample_default_times, empirical_survi
 from .gridfn import CoverageError, save_grid, write_grid_csv
 from .mildsolver import McConfig, picard_solve, refine_point
 from .simulate import InvalidPathBudgetError, TimeGrid, positivity_report, simulate_paths
-from .special import DomainError
+from .special import DomainError, SingularInputError
 from .valuation import discount
 from .verify import run_verify
 from .volmodel import InvariantError, check_positivity
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     except InvalidPathBudgetError as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return 3
-    except (CoverageError, DomainError) as exc:
+    except (CoverageError, DomainError, SingularInputError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,6 @@ and simply means the party never defaults.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,11 +62,24 @@ def _intensity_on(party: PartyDefault, nodes: np.ndarray, name: str) -> np.ndarr
     return vals
 
 
-def cumulative_intensity(party: PartyDefault, nodes: np.ndarray, name: str = "party") -> np.ndarray:
-    """Trapezoid cumulative intensity on the given nodes (zero at nodes[0])."""
-    vals = _intensity_on(party, nodes, name)
+def _trapezoid_cumsum(vals: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     steps = np.diff(nodes) * 0.5 * (vals[1:] + vals[:-1])
     return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+def cumulative_intensity(party: PartyDefault, nodes: np.ndarray, name: str = "party") -> np.ndarray:
+    """Trapezoid cumulative intensity on the given nodes (zero at nodes[0])."""
+    return _trapezoid_cumsum(_intensity_on(party, nodes, name), nodes)
+
+
+def _survival_and_hazard(party: PartyDefault, nodes: np.ndarray, name: str):
+    """(survival, hazard) of one party on the nodes, sampling its intensity once."""
+    vals = _intensity_on(party, nodes, name)
+    lam = _trapezoid_cumsum(vals, nodes)
+    return (
+        gamma_survival(party.threshold, lam),
+        vals * gamma_hazard_factor(party.threshold, lam),
+    )
 
 
 @dataclass(frozen=True)
@@ -113,11 +125,7 @@ def hazard_curve(spec: DefaultSpec, grid: TimeGrid) -> HazardCurve:
     nodes = grid.nodes
     out = {}
     for name in _PARTIES:
-        party = spec.party(name)
-        fn = party.intensity_fn()
-        lam = cumulative_intensity(party, nodes, name)
-        factor = gamma_hazard_factor(party.threshold, lam)
-        out[name] = np.array([float(fn(t)) for t in nodes]) * factor
+        _, out[name] = _survival_and_hazard(spec.party(name), nodes, name)
     return HazardCurve(nodes=nodes, investor=out["investor"], counterparty=out["counterparty"])
 
 
@@ -187,13 +195,9 @@ def default_density(
     surv = np.ones(len(nodes))
     total_hazard = np.zeros(len(nodes))
     for name in names:
-        p = spec.party(name)
-        fn = p.intensity_fn()
-        lam = cumulative_intensity(p, nodes, name)
-        surv = surv * gamma_survival(p.threshold, lam)
-        total_hazard = total_hazard + np.array(
-            [float(fn(t)) for t in nodes]
-        ) * gamma_hazard_factor(p.threshold, lam)
+        party_surv, party_hazard = _survival_and_hazard(spec.party(name), nodes, name)
+        surv = surv * party_surv
+        total_hazard = total_hazard + party_hazard
     values = surv * total_hazard
     atom = float(surv[-1])
     mass = float(np.trapezoid(values, nodes))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,15 +112,6 @@ class GridFunction:
         ]
         return np.array(flat).reshape(t_arr.shape)
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def terminal_plane(self) -> np.ndarray:
-        return self.values[-1]
-
-    def copy_with(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.t_nodes, self.x_nodes, self.v_nodes, values)
-
 
 def sup_diff(a: GridFunction, b: GridFunction) -> float:
     return float(np.max(np.abs(a.values - b.values)))
@@ -143,19 +134,28 @@ def _npy_bytes(arr: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
-def save_grid(fn: GridFunction, path) -> None:
-    members = {
-        "header.json": json.dumps({"kind": "gridfunction"}).encode(),
-        "t_nodes.npy": _npy_bytes(fn.t_nodes),
-        "x_nodes.npy": _npy_bytes(fn.x_nodes),
-        "v_nodes.npy": _npy_bytes(fn.v_nodes),
-        "values.npy": _npy_bytes(fn.values),
-    }
+def _write_deterministic_zip(path, members: dict) -> None:
+    # np.savez stamps wall-clock times into the archive; a fixed epoch keeps
+    # byte-identical outputs for identical inputs.  Shared by the grid and
+    # path-set caches.
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
         for name, payload in sorted(members.items()):
             info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
             info.compress_type = zipfile.ZIP_DEFLATED
             zf.writestr(info, payload)
+
+
+def save_grid(fn: GridFunction, path) -> None:
+    _write_deterministic_zip(
+        path,
+        {
+            "header.json": json.dumps({"kind": "gridfunction"}).encode(),
+            "t_nodes.npy": _npy_bytes(fn.t_nodes),
+            "x_nodes.npy": _npy_bytes(fn.x_nodes),
+            "v_nodes.npy": _npy_bytes(fn.v_nodes),
+            "values.npy": _npy_bytes(fn.values),
+        },
+    )
 
 
 def load_grid(path) -> GridFunction:

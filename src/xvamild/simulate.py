@@ -21,11 +21,11 @@ from typing import Optional
 
 import numpy as np
 
+from .gridfn import _npy_bytes, _write_deterministic_zip
 from .volmodel import InvariantError, VolModel
 
 _CHUNK = 4096
 _INVALID_BUDGET = 1e-3
-_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
 class InvalidPathBudgetError(RuntimeError):
@@ -94,14 +94,10 @@ class PathSet:
         return self.v[~self.invalid]
 
 
-def path_rng(master_seed: int, path_id: int) -> np.random.Generator:
-    """The generator that drives path path_id under master_seed."""
-    return np.random.default_rng(np.random.SeedSequence([master_seed, path_id]))
-
-
 def path_increments(grid: TimeGrid, master_seed: int, path_id: int):
     """Re-derive the (dW, dW~) increments the engine used for one path."""
-    z = path_rng(master_seed, path_id).standard_normal((grid.n_steps, 2))
+    rng = np.random.default_rng(np.random.SeedSequence([master_seed, path_id]))
+    z = rng.standard_normal((grid.n_steps, 2))
     scale = math.sqrt(grid.dt)
     return z[:, 0] * scale, z[:, 1] * scale
 
@@ -305,22 +301,6 @@ def write_paths_csv(paths: PathSet, fileobj) -> None:
             fileobj.write(
                 f"{i},{nodes[k]:.17g},{paths.x[i, k]:.17g},{paths.v[i, k]:.17g}\n"
             )
-
-
-def _write_deterministic_zip(path, members: dict) -> None:
-    # np.savez stamps wall-clock times into the archive; a fixed epoch keeps
-    # byte-identical outputs for identical inputs.
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
-        for name, payload in sorted(members.items()):
-            info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
-            info.compress_type = zipfile.ZIP_DEFLATED
-            zf.writestr(info, payload)
-
-
-def _npy_bytes(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, np.ascontiguousarray(arr))
-    return buf.getvalue()
 
 
 def save_pathset(paths: PathSet, path) -> None:

@@ -6,17 +6,17 @@ Three quantities are exported.  The unnormalised upper tail
 
 the survival function of a Gamma(shape, rate) threshold,
 
-    G(x) = ugamma(shape, rate*x) / Gamma(shape),
+    G(x) = Q(shape, rate*x) = ugamma(shape, rate*x) / Gamma(shape),
 
 and the tail-decay factor
 
     rate**shape * x**(shape-1) * exp(-rate*x) / ugamma(shape, rate*x)
 
-which equals -d/dx log G(x).  Evaluation uses the classic regime split:
-a power series for the lower tail when the scaled argument is below
-shape + 1, a modified-Lentz continued fraction above it, and log-space
-assembly once the shape parameter is large enough that Gamma(shape)
-magnitudes start eating precision.
+which equals -d/dx log G(x).  The regularised tail Q comes from
+vectorised ``scipy.special.gammaincc``; ugamma and the hazard factor are
+assembled in log space from log Q.  Where Q underflows (below 1e-300) a
+modified-Lentz continued fraction supplies log Q instead, so deep-tail
+hazards stay finite and tend to the rate.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincc
 
 _MAX_ITER = 600
 _CONV_EPS = 1e-17
 _FPMIN = 1e-300
-_LOG_SPACE_SHAPE = 30.0
 
 
 class DomainError(ValueError):
@@ -54,99 +54,60 @@ class GammaParams:
             raise DomainError(f"rate must be finite and positive, got {self.rate!r}")
 
 
-def _check_args(shape: float, x: float) -> None:
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise DomainError(f"shape must be finite and positive, got {shape!r}")
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and non-negative, got {x!r}")
+def _abscissae(x) -> np.ndarray:
+    xs = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(xs) & (xs >= 0.0))
+    if bad.any():
+        raise DomainError(f"x must be finite and non-negative, got {float(xs[bad][0])!r}")
+    return xs
 
 
-def _lower_series_sum(a: float, x: float) -> float:
-    # sum_{n>=0} x^n / (a*(a+1)*...*(a+n)); converges for x < a + 1.
-    term = 1.0 / a
-    total = term
-    for n in range(1, _MAX_ITER):
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * _CONV_EPS:
-            return total
-    raise ArithmeticError(f"series for shape={a}, x={x} did not converge")
-
-
-def _upper_cf(a: float, x: float) -> float:
+def _upper_cf(a: float, x: np.ndarray) -> np.ndarray:
     # Modified Lentz evaluation of the continued fraction C(a, x) with
-    # ugamma(a, x) = exp(-x + a*log(x)) * C(a, x); used for x >= a + 1.
+    # ugamma(a, x) = exp(-x + a*log(x)) * C(a, x), elementwise over x;
+    # only called where x is far beyond a, so it converges quickly.
     b = x + 1.0 - a
-    c = 1.0 / _FPMIN
+    c = np.full_like(x, 1.0 / _FPMIN)
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
+        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
         c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CONV_EPS:
+        h = h * delta
+        if np.all(np.abs(delta - 1.0) < _CONV_EPS):
             return h
-    raise ArithmeticError(f"continued fraction for shape={a}, x={x} did not converge")
+    raise ArithmeticError(f"continued fraction for shape={a} did not converge")
+
+
+def _log_q(shape: float, u: np.ndarray) -> np.ndarray:
+    """log Q(shape, u) on an array u >= 0, finite even where Q underflows."""
+    q = gammaincc(shape, u)
+    deep = q < _FPMIN
+    with np.errstate(divide="ignore"):
+        out = np.log(q)
+    if deep.any():
+        ud = u[deep]
+        out[deep] = np.log(_upper_cf(shape, ud)) + shape * np.log(ud) - ud - math.lgamma(shape)
+    return out
 
 
 def log_upper_incomplete_gamma(shape: float, x: float) -> float:
     """log ugamma(shape, x), stable for large shape and deep tails."""
-    _check_args(shape, x)
-    if x == 0.0:
-        return math.lgamma(shape)
-    if shape == 1.0:
-        return -x
-    if x < shape + 1.0:
-        series = _lower_series_sum(shape, x)
-        log_p = math.log(series) + shape * math.log(x) - x - math.lgamma(shape)
-        p = math.exp(log_p)
-        if p >= 1.0:
-            raise SingularInputError(
-                f"upper tail underflows at shape={shape}, x={x}"
-            )
-        return math.lgamma(shape) + math.log1p(-p)
-    return math.log(_upper_cf(shape, x)) + shape * math.log(x) - x
+    if not (math.isfinite(shape) and shape > 0.0):
+        raise DomainError(f"shape must be finite and positive, got {shape!r}")
+    xs = _abscissae(x)
+    return float(math.lgamma(shape) + _log_q(shape, xs.reshape(1))[0])
 
 
 def upper_incomplete_gamma(shape: float, x: float) -> float:
     """Unnormalised upper incomplete gamma: int_x^inf y**(shape-1) e**-y dy."""
-    _check_args(shape, x)
-    if shape == 1.0:
-        return math.exp(-x)
-    if x == 0.0:
-        return math.exp(math.lgamma(shape))
-    if shape > _LOG_SPACE_SHAPE:
-        return math.exp(log_upper_incomplete_gamma(shape, x))
-    if x < shape + 1.0:
-        series = _lower_series_sum(shape, x)
-        lower = series * math.exp(shape * math.log(x) - x)
-        return math.gamma(shape) - lower
-    return _upper_cf(shape, x) * math.exp(shape * math.log(x) - x)
-
-
-def _survival_scalar(shape: float, rate: float, x: float) -> float:
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and non-negative, got {x!r}")
-    u = rate * x
-    if u == 0.0:
-        return 1.0
-    if shape == 1.0:
-        return math.exp(-u)
-    if shape > _LOG_SPACE_SHAPE:
-        return math.exp(log_upper_incomplete_gamma(shape, u) - math.lgamma(shape))
-    if u < shape + 1.0:
-        series = _lower_series_sum(shape, u)
-        p = series * math.exp(shape * math.log(u) - u - math.lgamma(shape))
-        return 1.0 - p
-    return _upper_cf(shape, u) * math.exp(shape * math.log(u) - u - math.lgamma(shape))
+    return math.exp(log_upper_incomplete_gamma(shape, x))
 
 
 def gamma_survival(params: GammaParams, x):
@@ -155,36 +116,10 @@ def gamma_survival(params: GammaParams, x):
     Accepts a scalar or an ndarray of non-negative abscissae and returns
     the matching shape.  Values live in [0, 1] and decrease in x.
     """
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 0:
-        return _survival_scalar(params.shape, params.rate, float(xs))
-    flat = [_survival_scalar(params.shape, params.rate, xi) for xi in xs.ravel()]
-    return np.array(flat).reshape(xs.shape)
-
-
-def _hazard_scalar(shape: float, rate: float, x: float) -> float:
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and non-negative, got {x!r}")
-    if x == 0.0:
-        # Boundary conventions: the factor tends to 0 for shape > 1, to the
-        # rate for shape == 1, and diverges for shape < 1.
-        if shape > 1.0:
-            return 0.0
-        if shape == 1.0:
-            return rate
-        raise SingularInputError(
-            f"hazard factor diverges at x=0 for shape={shape} < 1"
-        )
-    if shape == 1.0:
-        return rate
-    u = rate * x
-    log_f = (
-        shape * math.log(rate)
-        + (shape - 1.0) * math.log(x)
-        - u
-        - log_upper_incomplete_gamma(shape, u)
-    )
-    return math.exp(log_f)
+    xs = _abscissae(x)
+    u = params.rate * xs
+    out = np.exp(-u) if params.shape == 1.0 else gammaincc(params.shape, u)
+    return float(out) if xs.ndim == 0 else out
 
 
 def gamma_hazard_factor(params: GammaParams, x):
@@ -194,8 +129,24 @@ def gamma_hazard_factor(params: GammaParams, x):
     rate for shape == 1; for shape < 1 the factor diverges and a
     SingularInputError is raised.
     """
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 0:
-        return _hazard_scalar(params.shape, params.rate, float(xs))
-    flat = [_hazard_scalar(params.shape, params.rate, xi) for xi in xs.ravel()]
-    return np.array(flat).reshape(xs.shape)
+    xs = _abscissae(x)
+    shape, rate = params.shape, params.rate
+    if shape == 1.0:
+        out = np.full(xs.shape, rate)
+    else:
+        if shape < 1.0 and np.any(xs == 0.0):
+            raise SingularInputError(
+                f"hazard factor diverges at x=0 for shape={shape} < 1"
+            )
+        x1 = np.atleast_1d(xs)
+        u = rate * x1
+        # At x = 0 (shape > 1) the log(x) term is -inf and the factor is 0.
+        with np.errstate(divide="ignore"):
+            log_f = (
+                shape * math.log(rate)
+                + (shape - 1.0) * np.log(x1)
+                - u
+                - (math.lgamma(shape) + _log_q(shape, u))
+            )
+        out = np.exp(log_f).reshape(xs.shape)
+    return float(out) if xs.ndim == 0 else out

@@ -210,6 +210,18 @@ def test_cli_defaults_requires_clocks(tmp_path, capsys):
     assert "defaults" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["defaults", "solve"])
+def test_cli_sub_unit_threshold_shape_exits_1(tmp_path, capsys, command):
+    # A gamma shape below 1 passes validation, but the hazard factor diverges
+    # at t0; the run must end with a message, not a traceback.
+    cfg = full_xva_config()
+    cfg["defaults"]["counterparty"]["threshold"]["shape"] = 0.5
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "run failed" in err and "shape=0.5" in err
+
+
 # -- simulate -----------------------------------------------------------------------
 
 

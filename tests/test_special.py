@@ -157,3 +157,38 @@ def test_domain_errors_name_the_argument():
         upper_incomplete_gamma(2.0, -0.5)
     with pytest.raises(DomainError, match="x"):
         gamma_survival(GammaParams(2.0, 1.0), -1.0)
+
+
+@pytest.mark.parametrize("shape,rate", [(0.4, 1.3), (1.0, 0.8), (2.5, 2.0), (45.0, 1.0)])
+@pytest.mark.parametrize("fn", [gamma_survival, gamma_hazard_factor])
+def test_array_matches_elementwise_scalar_calls(fn, shape, rate):
+    params = GammaParams(shape, rate)
+    xs = np.array([[1e-3, 0.4, 1.7], [6.0, 30.0, 900.0]])
+    got = fn(params, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    scalars = [fn(params, float(x)) for x in xs.ravel()]
+    assert all(isinstance(s, float) for s in scalars)
+    np.testing.assert_array_equal(got.ravel(), scalars)
+
+
+@pytest.mark.parametrize("u", [800.0, 2000.0])
+def test_underflow_fallback_matches_closed_form(u):
+    # ugamma(2, u) = (u + 1) e^-u, far below the smallest normal double here.
+    assert sp.gammaincc(2.0, u) < 1e-300
+    assert log_upper_incomplete_gamma(2.0, u) == pytest.approx(
+        math.log(u + 1.0) - u, rel=1e-14
+    )
+    params = GammaParams(2.0, 1.0)
+    expect = u / (u + 1.0)
+    assert gamma_hazard_factor(params, u) == pytest.approx(expect, rel=1e-13)
+    arr = gamma_hazard_factor(params, np.array([1.0, u]))
+    assert arr[0] == pytest.approx(0.5, rel=1e-12)
+    assert arr[1] == pytest.approx(expect, rel=1e-13)
+
+
+@pytest.mark.parametrize("shape", [0.3, 0.5, 0.99])
+def test_hazard_singular_for_array_containing_zero(shape):
+    params = GammaParams(shape, 2.0)
+    with pytest.raises(SingularInputError, match="x=0"):
+        gamma_hazard_factor(params, np.array([0.5, 0.0, 3.0]))
+    assert np.all(np.isfinite(gamma_hazard_factor(params, np.array([0.5, 3.0]))))
