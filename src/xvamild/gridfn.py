@@ -98,19 +98,9 @@ class GridFunction:
         """Interpolate at one time for vectors of (x, v)."""
         return self._bilinear(self._plane_at(float(t)), np.asarray(x), np.asarray(v))
 
-    def evaluate(self, t, x, v):
-        """Interpolate at scalar or array t (arrays evaluated row-wise)."""
-        t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            out = self.evaluate_at_time(float(t_arr), x, v)
-            return out
-        x_arr = np.broadcast_to(np.asarray(x, dtype=float), t_arr.shape)
-        v_arr = np.broadcast_to(np.asarray(v, dtype=float), t_arr.shape)
-        flat = [
-            float(self.evaluate_at_time(ti, xi, vi))
-            for ti, xi, vi in zip(t_arr.ravel(), x_arr.ravel(), v_arr.ravel())
-        ]
-        return np.array(flat).reshape(t_arr.shape)
+    def evaluate(self, t: float, x, v):
+        """Interpolate at one scalar time t for scalar or array (x, v)."""
+        return self.evaluate_at_time(t, x, v)
 
 
 def sup_diff(a: GridFunction, b: GridFunction) -> float:

@@ -7,9 +7,10 @@ The field solves u = T(u) with
 
 along pricing-measure paths, discounting living inside the driver's rate
 spreads.  T is applied by Monte Carlo on a tensor grid with common random
-numbers: all grid nodes ride one increment stream per chunk, increments
-are indexed by master-grid step so slices starting at different times see
-the same noise at the same time, and every sweep reuses the same streams.
+numbers: all grid nodes ride one increment stream per chunk of paths,
+each chunk draws its increments as one block with a row per master-grid
+step, so slices starting at different times see the same noise at the
+same time, and every sweep reuses the same streams.
 Iterates therefore differ smoothly in space and time, the contraction is
 visible far below the noise of one sweep, and finite differences across
 time slices stay meaningful.  When the driver's value-Lipschitz budget
@@ -27,6 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .defaultclock import _trapezoid_cumsum
 from .gridfn import (  # re-exported: the solver's output container
     CoverageError,
     GridFunction,
@@ -35,7 +37,7 @@ from .gridfn import (  # re-exported: the solver's output container
     sup_diff,
     write_grid_csv,
 )
-from .simulate import TimeGrid, simulate_paths
+from .simulate import _CHUNK, TimeGrid, _euler_step, _step_table, simulate_paths
 from .valuation import MarketSpec, driver, driver_lipschitz
 from .volmodel import InvariantError, VolModel
 
@@ -56,7 +58,6 @@ class McConfig:
     n_steps: int = 100
     master_seed: int = 0
     threads: int = 1
-    chunk: int = 4096
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -65,8 +66,6 @@ class McConfig:
             raise InvariantError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.master_seed < 0:
             raise InvariantError("master_seed must be non-negative")
-        if self.chunk < 1:
-            raise InvariantError("chunk must be >= 1")
 
 
 def _master_indices(t_nodes: np.ndarray, master: TimeGrid) -> list:
@@ -102,9 +101,10 @@ def _sweep_slice(
 
     Returns (mean, stderr, n_outside, n_evals).  All nodes share each
     chunk's increments; the stream seed depends only on (master_seed,
-    salt, chunk), never on the slice or the iterate, and each slice burns
-    the draws of the master steps before its start so step k consumes the
-    same numbers no matter where the slice begins.
+    salt, chunk), never on the slice or the iterate.  Each chunk draws
+    its normals for master steps 0 .. m_end - 1 in one call and the slice
+    reads rows m_start onwards; the generator fills the block in order,
+    so step k consumes the same numbers no matter where the slice begins.
     """
     nodes = master.nodes
     dt = master.dt
@@ -117,13 +117,9 @@ def _sweep_slice(
         return vals, np.zeros(n_nodes), 0, 0
 
     ks = range(m_start, m_end)
-    rhos = np.array([float(model.correlation(nodes[k])) for k in ks])
-    if np.any(np.abs(rhos) >= 1.0):
-        raise InvariantError("correlation must stay inside (-1, 1) on the grid")
-    c_w = np.sqrt(1.0 - rhos**2)
-    bs = np.array([float(model.drift_b(nodes[k])) for k in ks])
+    table = _step_table(model, nodes[m_start:m_end])
 
-    chunk = max(128, min(mc.chunk, _STATE_BUDGET // max(n_nodes, 1)))
+    chunk = max(128, min(_CHUNK, _STATE_BUDGET // max(n_nodes, 1)))
     bounds = []
     done = 0
     while done < mc.n_paths:
@@ -134,11 +130,7 @@ def _sweep_slice(
         rng = np.random.default_rng(
             np.random.SeedSequence([mc.master_seed, seed_salt, c_idx])
         )
-        burn = m_start
-        while burn > 0:  # align this slice's draws with the master steps
-            block = min(burn, 64)
-            rng.standard_normal((block, n_c, 2))
-            burn -= block
+        z = rng.standard_normal((m_end, n_c, 2))[m_start:] * sq_dt
         x = np.tile(x_flat[:, None], (1, n_c))
         v = np.tile(v_flat[:, None], (1, n_c))
         integral = np.zeros((n_nodes, n_c))
@@ -156,14 +148,7 @@ def _sweep_slice(
                     if prev_rate is not None:
                         integral += 0.5 * (prev_rate + rate) * dt
                     prev_rate = rate
-                z = rng.standard_normal((n_c, 2))
-                dw = z[:, 0] * sq_dt
-                dwt = z[:, 1] * sq_dt
-                theta = model.vol_of_price(t, v)
-                zeta = model.drift_v(t, v)
-                eta = model.vol_of_v(t, v)
-                x = x + (bs[j] - 0.5 * theta * theta) * dt + theta * (c_w[j] * dw + rhos[j] * dwt)
-                v = v + zeta * dt + eta * dwt
+                x, v = _euler_step(model, table, j, t, x, v, dt, z[j, :, 0], z[j, :, 1])
         est = np.asarray(payoff(np.exp(x), v), dtype=float)
         if use_driver:
             rate_end = driver(spec, t_end, np.exp(x), v, est)
@@ -173,7 +158,7 @@ def _sweep_slice(
             raise CoverageError(
                 "non-finite Monte Carlo estimate; the model explodes on this grid"
             )
-        return est.sum(axis=1), (est * est).sum(axis=1), outside, n_c * len(rhos) * n_nodes
+        return est.sum(axis=1), (est * est).sum(axis=1), outside, n_c * len(ks) * n_nodes
 
     if mc.threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=mc.threads) as pool:
@@ -494,10 +479,7 @@ def linear_oracle(
     v = paths.valid_v()
     nodes = grid.nodes
     m_vals = np.array([float(slope(t)) if callable(slope) else float(slope) for t in nodes])
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (m_vals[1:] + m_vals[:-1]) * np.diff(nodes))]
-    )
-    w = np.exp(cum)
+    w = np.exp(_trapezoid_cumsum(m_vals, nodes))
     a_vals = np.empty_like(x)
     for k, t in enumerate(nodes):
         a_vals[:, k] = w[k] * np.asarray(source(t, np.exp(x[:, k]), v[:, k]), dtype=float)

@@ -24,7 +24,7 @@ import numpy as np
 from .gridfn import _npy_bytes, _write_deterministic_zip
 from .volmodel import InvariantError, VolModel
 
-_CHUNK = 4096
+_CHUNK = 4096  # paths per work unit here; the cap on paths per noise stream in the mild-map sweep
 _INVALID_BUDGET = 1e-3
 
 
@@ -108,6 +108,26 @@ def _fill_noise(out: np.ndarray, master_seed: int, lo: int) -> None:
         out[j] = rng.standard_normal(out.shape[1:])
 
 
+def _step_table(model: VolModel, times):
+    """(b, rho, sqrt(1 - rho^2)) at the step start times; rejects |rho| >= 1."""
+    rhos = np.array([float(model.correlation(t)) for t in times])
+    if np.any(np.abs(rhos) >= 1.0):
+        raise InvariantError("correlation must stay inside (-1, 1) on the grid")
+    bs = np.array([float(model.drift_b(t)) for t in times])
+    return bs, rhos, np.sqrt(1.0 - rhos**2)
+
+
+def _euler_step(model: VolModel, table, k: int, t: float, x, v, dt: float, dw, dwt):
+    """One Euler step of (X, V) from time t with row k of the step table."""
+    b, rho, c_w = table[0][k], table[1][k], table[2][k]
+    theta = model.vol_of_price(t, v)
+    zeta = model.drift_v(t, v)
+    eta = model.vol_of_v(t, v)
+    x = x + (b - 0.5 * theta * theta) * dt + theta * (c_w * dw + rho * dwt)
+    v = v + zeta * dt + eta * dwt
+    return x, v
+
+
 def simulate_paths(
     model: VolModel,
     start,
@@ -136,11 +156,7 @@ def simulate_paths(
     xs = np.empty((n_paths, n_nodes))
     vs = np.empty((n_paths, n_nodes))
 
-    rhos = np.array([float(model.correlation(t)) for t in nodes[:-1]])
-    if np.any(np.abs(rhos) >= 1.0):
-        raise InvariantError("correlation must stay inside (-1, 1) on the grid")
-    c_w = np.sqrt(1.0 - rhos**2)
-    bs = np.array([float(model.drift_b(t)) for t in nodes[:-1]])
+    table = _step_table(model, nodes[:-1])
 
     def run_chunk(lo: int, hi: int) -> None:
         z = np.empty((hi - lo, grid.n_steps, 2))
@@ -152,14 +168,7 @@ def simulate_paths(
         vs[lo:hi, 0] = v
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(grid.n_steps):
-                t = nodes[k]
-                theta = model.vol_of_price(t, v)
-                zeta = model.drift_v(t, v)
-                eta = model.vol_of_v(t, v)
-                dw = z[:, k, 0]
-                dwt = z[:, k, 1]
-                x = x + (bs[k] - 0.5 * theta * theta) * dt + theta * (c_w[k] * dw + rhos[k] * dwt)
-                v = v + zeta * dt + eta * dwt
+                x, v = _euler_step(model, table, k, nodes[k], x, v, dt, z[:, k, 0], z[:, k, 1])
                 xs[lo:hi, k + 1] = x
                 vs[lo:hi, k + 1] = v
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .defaultclock import DefaultSpec, SurvivalCurve, survival_curve
+from .defaultclock import DefaultSpec, SurvivalCurve, _trapezoid_cumsum, survival_curve
 from .gridfn import CoverageError
 from .simulate import TimeGrid, simulate_paths
 from .special import DomainError, gamma_hazard_factor
@@ -163,10 +163,7 @@ def discount_nodes(rate, nodes: np.ndarray) -> np.ndarray:
     """exp(-int_{nodes[0]}^{t_k} rate) by trapezoid, for grid workloads."""
     fn = as_time_fn(rate)
     vals = np.array([float(fn(t)) for t in nodes])
-    cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(nodes))]
-    )
-    return np.exp(-cum)
+    return np.exp(-_trapezoid_cumsum(vals, nodes))
 
 
 # -- the driver ----------------------------------------------------------------
@@ -340,9 +337,9 @@ def martingale_residual(
     n = x.shape[0]
     if spec.defaults is not None:
         curve = survival_curve(spec.defaults, grid)
-        g_joint = curve.joint
     else:
-        g_joint = np.ones(len(nodes))
+        curve = SurvivalCurve(nodes, np.ones(len(nodes)), np.ones(len(nodes)))
+    g_joint = curve.joint
     disc = discount_nodes(spec.fn("rate"), nodes)
 
     outside = 0
@@ -355,11 +352,8 @@ def martingale_residual(
         u_k = np.asarray(u.evaluate_at_time(t, x[:, k], v[:, k]), dtype=float)
         outside += int(np.count_nonzero(u.outside(x[:, k], v[:, k])))
         total += n
-        g_i, g_c = spec.log_survival_slopes(t)
-        r = float(spec.fn("rate")(t))
-        bhat = driver(spec, t, np.exp(x[:, k]), v[:, k], u_k)
-        a_dot = g_joint[k] * (bhat + (r - g_i - g_c) * u_k)
-        integrand = disc[k] * a_dot
+        state = (np.exp(x[:, k]), v[:, k], u_k)
+        integrand = disc[k] * a_process_increment(spec, curve, t, state)
         if prev_integrand is not None:
             integral = integral + 0.5 * (prev_integrand + integrand) * grid.dt
         prev_integrand = integrand

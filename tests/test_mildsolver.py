@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from xvamild.mildsolver import (
     load_grid,
     pde_residual,
     picard_solve,
+    refine_point,
     save_grid,
     sup_diff,
     write_grid_csv,
@@ -173,6 +175,39 @@ def test_mild_map_agrees_with_direct_simulation():
     mc_val = float(phi.mean())
     mc_err = float(phi.std(ddof=1) / math.sqrt(len(phi)))
     assert abs(fk_val - mc_val) <= 3.0 * math.hypot(fk_err, mc_err)
+
+
+@pytest.mark.parametrize(
+    "m_start, m_end, n_c", [(0, 32, 2645), (5, 32, 2645), (70, 100, 128), (31, 32, 7)]
+)
+def test_block_draw_matches_burn_then_draw(m_start, m_end, n_c):
+    # a slice reads master step k from row k of one block per chunk; that
+    # aligns with the stream only because the generator fills in order,
+    # exactly as burning the earlier steps and drawing one step at a time
+    seq = np.random.SeedSequence([3, 0, 1])
+    block = np.random.default_rng(seq).standard_normal((m_end, n_c, 2))[m_start:]
+    rng = np.random.default_rng(seq)
+    burn = m_start
+    while burn > 0:
+        step = min(burn, 64)
+        rng.standard_normal((step, n_c, 2))
+        burn -= step
+    for row in block:
+        assert np.array_equal(row, rng.standard_normal((n_c, 2)))
+
+
+def test_unit_correlation_rejected_by_every_path_engine():
+    model = replace(build_power_model(black_scholes_params()), correlation=lambda t: 1.0)
+    spec = riskfree_spec(0.0, constant_payoff(1.0))
+    mc = McConfig(n_paths=8, n_steps=4)
+    x_nodes, v_nodes = [4.0, 5.0], [0.02, 0.06]
+    with pytest.raises(InvariantError, match="correlation"):
+        simulate_paths(model, (X0, 0.04), TimeGrid(0.0, 1.0, 4), 8, 0)
+    with pytest.raises(InvariantError, match="correlation"):
+        apply_mild_map(spec, model, None, [0.0, 1.0], x_nodes, v_nodes, mc, use_driver=False)
+    u = GridFunction([0.0, 1.0], x_nodes, v_nodes, np.ones((2, 2, 2)))
+    with pytest.raises(InvariantError, match="correlation"):
+        refine_point(spec, model, u, (0.0, 4.5, 0.04), mc)
 
 
 # -- fixed point ------------------------------------------------------------------
