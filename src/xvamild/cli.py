@@ -282,7 +282,7 @@ def _solve(setup, threads, fresh_check):
     rep = picard_solve(
         setup.spec, setup.model_q, t_nodes, x_nodes, v_nodes, mc,
         tol=setup.tol, max_sweeps=setup.max_iter,
-        validate_fresh=fresh_check, time_slabs=setup.time_slabs,
+        validate_fresh=fresh_check,
     )
     return rep, mc
 

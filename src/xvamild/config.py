@@ -23,6 +23,7 @@ from .defaultclock import DefaultSpec, GammaParams, PartyDefault, no_default_par
 from .valuation import (
     MarketSpec,
     capped_call,
+    constant_dividend,
     constant_payoff,
     proportional_hedge,
     zero_dividend,
@@ -419,16 +420,12 @@ def _norm_mc(raw) -> dict:
 
 def _norm_solver(raw) -> dict:
     obj = _obj(raw if raw is not None else {}, "solver")
-    _reject_unknown(obj, "solver", {"max_iter", "tol", "gamma", "time_slabs"})
-    slabs = obj.get("time_slabs", "auto")
-    if slabs != "auto":
-        slabs = _int(slabs, "solver.time_slabs", lo=1)
+    _reject_unknown(obj, "solver", {"max_iter", "tol", "gamma"})
     tol = _num(obj.get("tol", 1e-3), "solver.tol", lo=0.0, lo_strict=True)
     return {
         "max_iter": _int(obj.get("max_iter", 25), "solver.max_iter", lo=1),
         "tol": tol,
         "gamma": _timefn_cfg(obj.get("gamma", 0.0), "solver.gamma"),
-        "time_slabs": slabs,
     }
 
 
@@ -518,12 +515,7 @@ def _build_dividend(norm) -> Callable:
     if isinstance(norm, dict) and norm.get("kind") == "zero":
         return zero_dividend
     if isinstance(norm, dict) and norm.get("kind") == "constant":
-        value = norm["value"]
-
-        def pi(t, s, v):
-            return np.full_like(np.asarray(s, dtype=float), value)
-
-        return pi
+        return constant_dividend(norm["value"])
     fn = _timefn_build(norm)
 
     def pi(t, s, v):
@@ -577,7 +569,6 @@ class RunSetup:
     master_seed: int
     max_iter: int
     tol: float
-    time_slabs: Optional[int]
 
 
 def build_run(cfg: dict) -> RunSetup:
@@ -636,7 +627,6 @@ def build_run(cfg: dict) -> RunSetup:
     except InvariantError as exc:
         raise ConfigError("market", str(exc)) from exc
 
-    slabs = cfg["solver"]["time_slabs"]
     return RunSetup(
         cfg=cfg,
         params=params,
@@ -657,7 +647,6 @@ def build_run(cfg: dict) -> RunSetup:
         master_seed=cfg["mc"]["master_seed"],
         max_iter=cfg["solver"]["max_iter"],
         tol=cfg["solver"]["tol"],
-        time_slabs=None if slabs == "auto" else int(slabs),
     )
 
 

@@ -126,8 +126,7 @@ def _npy_bytes(arr: np.ndarray) -> bytes:
 
 def _write_deterministic_zip(path, members: dict) -> None:
     # np.savez stamps wall-clock times into the archive; a fixed epoch keeps
-    # byte-identical outputs for identical inputs.  Shared by the grid and
-    # path-set caches.
+    # byte-identical outputs for identical inputs.
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
         for name, payload in sorted(members.items()):
             info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)

@@ -264,24 +264,6 @@ def _slab_partition(spec: MarketSpec, t_nodes: np.ndarray) -> list:
     return bounds[::-1]
 
 
-def _forced_partition(spec: MarketSpec, t_nodes: np.ndarray, n_slabs: int) -> list:
-    """Split into a requested number of slabs, still honouring the cap."""
-    m = len(t_nodes)
-    if not 1 <= n_slabs <= m - 1:
-        raise InvariantError(
-            f"time_slabs must lie in [1, {m - 1}] for {m} time nodes, got {n_slabs}"
-        )
-    cuts = sorted(set(int(round(j)) for j in np.linspace(0, m - 1, n_slabs + 1)))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        bud = lipschitz_budget(spec, float(t_nodes[a]), float(t_nodes[b]))
-        if bud > _BUDGET_CAP + 1e-12:
-            raise InvariantError(
-                f"forced slab [{t_nodes[a]}, {t_nodes[b]}] carries Lipschitz budget "
-                f"{bud:.3f} > {_BUDGET_CAP}; request more slabs or use the automatic split"
-            )
-    return cuts
-
-
 # -- the solver -----------------------------------------------------------------
 
 
@@ -311,7 +293,6 @@ def picard_solve(
     tol: float = 1e-3,
     max_sweeps: int = 25,
     validate_fresh: bool = False,
-    time_slabs: Optional[int] = None,
     min_sweeps: int = 1,
 ) -> PicardReport:
     """Iterate the mild map to its fixed point on the tensor grid.
@@ -320,11 +301,9 @@ def picard_solve(
     from the driver-off terminal sweep and stops once consecutive sweeps
     agree within max(tol, 3 * stderr floor); common random numbers make
     that difference nearly noise-free.  validate_fresh reruns the final
-    map once with independent streams and records the gap.  time_slabs
-    forces a slab count instead of the automatic budget split; the forced
-    slabs must still respect the per-slab cap.  min_sweeps keeps each
-    slab iterating past the stop rule, which makes the geometric decay of
-    sup_diffs observable instead of stopping at the first pass.
+    map once with independent streams and records the gap.  min_sweeps
+    keeps each slab iterating past the stop rule, which makes the geometric
+    decay of sup_diffs observable instead of stopping at the first pass.
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
@@ -335,10 +314,7 @@ def picard_solve(
     idx = _master_indices(t_nodes, master)
 
     budget = lipschitz_budget(spec, float(t_nodes[0]), float(t_nodes[-1]))
-    if time_slabs is None:
-        slab_ix = _slab_partition(spec, t_nodes)
-    else:
-        slab_ix = _forced_partition(spec, t_nodes, int(time_slabs))
+    slab_ix = _slab_partition(spec, t_nodes)
 
     nt, nx, nv = len(t_nodes), len(x_nodes), len(v_nodes)
     values = np.empty((nt, nx, nv))

@@ -11,17 +11,12 @@ the coefficients, not the stepper.
 
 from __future__ import annotations
 
-import io
-import json
 import math
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .gridfn import _npy_bytes, _write_deterministic_zip
 from .volmodel import InvariantError, VolModel
 
 _CHUNK = 4096  # paths per work unit here; the cap on paths per noise stream in the mild-map sweep
@@ -76,7 +71,6 @@ class PathSet:
     x: np.ndarray
     v: np.ndarray
     master_seed: int
-    scheme: str = "euler"
     invalid: np.ndarray = field(default=None)
 
     @property
@@ -298,55 +292,4 @@ def positivity_report(paths: PathSet) -> PositivityPathReport:
         frac_nonpositive=float((v <= 0.0).mean()),
         n_paths=int(v.shape[0]),
         n_steps=paths.grid.n_steps,
-    )
-
-
-def write_paths_csv(paths: PathSet, fileobj) -> None:
-    """Stream (path_id, t, x, v) rows with full float precision."""
-    nodes = paths.grid.nodes
-    fileobj.write("path_id,t,x,v\n")
-    for i in range(paths.n_paths):
-        for k in range(len(nodes)):
-            fileobj.write(
-                f"{i},{nodes[k]:.17g},{paths.x[i, k]:.17g},{paths.v[i, k]:.17g}\n"
-            )
-
-
-def save_pathset(paths: PathSet, path) -> None:
-    """Binary cache: a zip of .npy members plus a JSON header."""
-    header = {
-        "kind": "pathset",
-        "master_seed": int(paths.master_seed),
-        "scheme": paths.scheme,
-        "t0": paths.grid.t0,
-        "horizon": paths.grid.horizon,
-        "n_steps": paths.grid.n_steps,
-    }
-    _write_deterministic_zip(
-        path,
-        {
-            "header.json": json.dumps(header, sort_keys=True).encode(),
-            "x.npy": _npy_bytes(paths.x),
-            "v.npy": _npy_bytes(paths.v),
-            "invalid.npy": _npy_bytes(paths.invalid),
-        },
-    )
-
-
-def load_pathset(path) -> PathSet:
-    with zipfile.ZipFile(path) as zf:
-        header = json.loads(zf.read("header.json"))
-        if header.get("kind") != "pathset":
-            raise InvariantError(f"not a pathset cache: {path}")
-        x = np.lib.format.read_array(io.BytesIO(zf.read("x.npy")))
-        v = np.lib.format.read_array(io.BytesIO(zf.read("v.npy")))
-        invalid = np.lib.format.read_array(io.BytesIO(zf.read("invalid.npy")))
-    grid = TimeGrid(header["t0"], header["horizon"], header["n_steps"])
-    return PathSet(
-        grid=grid,
-        x=x,
-        v=v,
-        master_seed=header["master_seed"],
-        scheme=header["scheme"],
-        invalid=invalid,
     )

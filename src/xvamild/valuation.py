@@ -105,6 +105,8 @@ class MarketSpec:
         return as_time_fn(getattr(self, name))
 
     def validate(self, horizon: float = 1.0) -> None:
+        if self.hedge_lipschitz < 0.0:
+            raise InvariantError("hedge_lipschitz must be non-negative")
         a_fn = self.fn("collateral_frac")
         b_fn = self.fn("closeout_frac")
         for t in np.linspace(self.t0, self.t0 + horizon, 257):
@@ -114,12 +116,20 @@ class MarketSpec:
                     f"need 0 <= collateral_frac <= closeout_frac <= 1, got "
                     f"({a}, {b}) at t={t}"
                 )
+            # The contraction budget trusts hedge_lipschitz as the hedge's
+            # slope in y; a unit step in y must not move the hedge further.
+            h0 = float(self.hedge(t, 1.0, 0.0, 0.0))
+            for y in (1.0, -1.0):
+                step = abs(float(self.hedge(t, 1.0, 0.0, y)) - h0)
+                if step > self.hedge_lipschitz:
+                    raise InvariantError(
+                        f"hedge moves by {step} for a unit step in y at t={t}, "
+                        f"above hedge_lipschitz={self.hedge_lipschitz}"
+                    )
         for name in ("lgd_investor", "lgd_counterparty"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise InvariantError(f"{name} must lie in [0, 1], got {val}")
-        if self.hedge_lipschitz < 0.0:
-            raise InvariantError("hedge_lipschitz must be non-negative")
 
     def log_survival_slopes(self, t: float) -> tuple:
         """(g_I, g_C): d/dt log survival per party at t, both <= 0."""
@@ -169,6 +179,29 @@ def discount_nodes(rate, nodes: np.ndarray) -> np.ndarray:
 # -- the driver ----------------------------------------------------------------
 
 
+def _driver_rates(spec: MarketSpec, t: float) -> tuple:
+    """(a, b, k+, k-, r - h+, r - h-, g_I, g_C, own): the driver's time-t terms.
+
+    a and b are the collateral and close-out fractions, k± = c± a + f± (1 - a)
+    the rates on y±, r - h± the rates on the hedge's two parts, g_I and g_C
+    the log-survival slopes, and own is 1 when the investor LGD funding term
+    is on.
+    """
+
+    def at(name: str) -> float:
+        return float(spec.fn(name)(t))
+
+    a, r = at("collateral_frac"), at("rate")
+    g_i, g_c = spec.log_survival_slopes(t)
+    return (
+        a, at("closeout_frac"),
+        at("collateral_rate_pos") * a + at("funding_rate_pos") * (1.0 - a),
+        at("collateral_rate_neg") * a + at("funding_rate_neg") * (1.0 - a),
+        r - at("hedge_rate_pos"), r - at("hedge_rate_neg"),
+        g_i, g_c, 1.0 if spec.own_default_funding else 0.0,
+    )
+
+
 def driver(spec: MarketSpec, t: float, s, v, y):
     """Adjustment rate at (t, price s, variance v, candidate value y).
 
@@ -184,29 +217,18 @@ def driver(spec: MarketSpec, t: float, s, v, y):
     yp = np.maximum(y_arr, 0.0)
     ym = np.maximum(-y_arr, 0.0)
 
-    a = float(spec.fn("collateral_frac")(t))
-    b = float(spec.fn("closeout_frac")(t))
-    r = float(spec.fn("rate")(t))
-    c_pos = float(spec.fn("collateral_rate_pos")(t))
-    c_neg = float(spec.fn("collateral_rate_neg")(t))
-    f_pos = float(spec.fn("funding_rate_pos")(t))
-    f_neg = float(spec.fn("funding_rate_neg")(t))
-    h_pos = float(spec.fn("hedge_rate_pos")(t))
-    h_neg = float(spec.fn("hedge_rate_neg")(t))
+    a, b, k_pos, k_neg, hedge_pos, hedge_neg, g_i, g_c, own = _driver_rates(spec, t)
 
     hedge = np.asarray(spec.hedge(t, s_arr, v, y_arr), dtype=float)
     hp = np.maximum(hedge, 0.0)
     hm = np.maximum(-hedge, 0.0)
 
-    g_i, g_c = spec.log_survival_slopes(t)
-    own = 1.0 if spec.own_default_funding else 0.0
-
     out = (
         np.asarray(spec.dividend(t, s_arr, v), dtype=float)
-        - (c_pos * a + f_pos * (1.0 - a)) * yp
-        + (c_neg * a + f_neg * (1.0 - a)) * ym
-        - (r - h_pos) * hp
-        + (r - h_neg) * hm
+        - k_pos * yp
+        + k_neg * ym
+        - hedge_pos * hp
+        + hedge_neg * hm
         + g_i * ((1.0 - b) * y_arr - spec.lgd_investor * ((b - a) * ym + (1.0 - a) * yp) * own)
         + g_c * ((1.0 - b) * y_arr + spec.lgd_counterparty * (b - a) * yp)
     )
@@ -215,22 +237,9 @@ def driver(spec: MarketSpec, t: float, s, v, y):
 
 def driver_lipschitz(spec: MarketSpec, t: float) -> float:
     """Upper bound on |d driver / dy| at time t (contraction budget rate)."""
-    a = float(spec.fn("collateral_frac")(t))
-    b = float(spec.fn("closeout_frac")(t))
-    r = float(spec.fn("rate")(t))
-    slopes = [
-        abs(float(spec.fn("collateral_rate_pos")(t)) * a
-            + float(spec.fn("funding_rate_pos")(t)) * (1.0 - a)),
-        abs(float(spec.fn("collateral_rate_neg")(t)) * a
-            + float(spec.fn("funding_rate_neg")(t)) * (1.0 - a)),
-    ]
-    rate_slope = max(slopes)
-    hedge_slope = spec.hedge_lipschitz * max(
-        abs(r - float(spec.fn("hedge_rate_pos")(t))),
-        abs(r - float(spec.fn("hedge_rate_neg")(t))),
-    )
-    g_i, g_c = spec.log_survival_slopes(t)
-    own = 1.0 if spec.own_default_funding else 0.0
+    a, b, k_pos, k_neg, hedge_pos, hedge_neg, g_i, g_c, own = _driver_rates(spec, t)
+    rate_slope = max(abs(k_pos), abs(k_neg))
+    hedge_slope = spec.hedge_lipschitz * max(abs(hedge_pos), abs(hedge_neg))
     gi_slope = abs(g_i) * ((1.0 - b) + spec.lgd_investor * max(b - a, 1.0 - a) * own)
     gc_slope = abs(g_c) * ((1.0 - b) + spec.lgd_counterparty * (b - a))
     return rate_slope + hedge_slope + gi_slope + gc_slope

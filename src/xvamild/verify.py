@@ -232,8 +232,6 @@ def check_martingale(setup: RunSetup, threads: int):
             master_seed=setup.master_seed,
             threads=threads,
         )
-        # automatic slab split: a forced count sized for the full grid need
-        # not be feasible on this reduced time axis
         rep = picard_solve(
             setup.spec, setup.model_q, t_small, x_nodes, v_nodes, mc,
             tol=setup.tol, max_sweeps=setup.max_iter,

@@ -84,7 +84,6 @@ def test_defaults_filled_and_spreads_inherit_rate():
     assert cfg["market"]["collateral_frac"] == 0.0
     assert cfg["market"]["closeout_frac"] == 1.0
     assert cfg["defaults"] is None
-    assert cfg["solver"]["time_slabs"] == "auto"
     assert cfg["grid"]["x_range"] == "auto"
 
 
@@ -125,6 +124,7 @@ def test_default_nt_divides_n_steps():
         (lambda c: c["grid"].update(v_range=[-0.1, 0.3]), "grid.v_range"),
         (lambda c: c["mc"].update(n_paths=1), "mc.n_paths"),
         (lambda c: c["solver"].update(tol=0.0), "solver.tol"),
+        (lambda c: c["solver"].update(time_slabs=2), "solver.time_slabs"),
         (lambda c: c["defaults"]["investor"]["threshold"].update(shape=0.0),
          "defaults.investor.threshold.shape"),
         (lambda c: c["defaults"]["investor"].update(intensity=-0.1),

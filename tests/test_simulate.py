@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -11,13 +10,10 @@ from xvamild.simulate import (
     PathSet,
     TimeGrid,
     exact_price,
-    load_pathset,
     moment_report,
     path_increments,
     positivity_report,
-    save_pathset,
     simulate_paths,
-    write_paths_csv,
 )
 from xvamild.volmodel import (
     InvariantError,
@@ -226,29 +222,3 @@ def test_start_state_validation():
         simulate_paths(bs_model(), (math.nan, 0.04), TimeGrid(0.0, 1.0, 5), 10, 1)
     with pytest.raises(InvariantError, match="master_seed"):
         simulate_paths(bs_model(), (0.0, 0.04), TimeGrid(0.0, 1.0, 5), 10, -4)
-
-
-def test_csv_export_full_precision():
-    grid = TimeGrid(0.0, 0.5, 2)
-    ps = simulate_paths(heston_model(), (X0, 0.04), grid, 3, master_seed=4)
-    buf = io.StringIO()
-    write_paths_csv(ps, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "path_id,t,x,v"
-    assert len(lines) == 1 + 3 * 3
-    _, t, x, v = lines[1].split(",")
-    assert float(x) == ps.x[0, 0]  # 17 significant digits round-trip
-
-
-def test_cache_roundtrip_and_deterministic_bytes(tmp_path):
-    grid = TimeGrid(0.0, 1.0, 12)
-    ps = simulate_paths(heston_model(), (X0, 0.04), grid, 64, master_seed=8)
-    f1, f2 = tmp_path / "a.zip", tmp_path / "b.zip"
-    save_pathset(ps, f1)
-    save_pathset(ps, f2)
-    assert f1.read_bytes() == f2.read_bytes()
-    back = load_pathset(f1)
-    assert np.array_equal(back.x, ps.x)
-    assert np.array_equal(back.v, ps.v)
-    assert back.master_seed == 8
-    assert back.grid == grid

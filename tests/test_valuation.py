@@ -247,6 +247,10 @@ def test_spec_validation_rejects_bad_fractions():
         MarketSpec(lgd_counterparty=1.5).validate()
     with pytest.raises(InvariantError, match="hedge_lipschitz"):
         MarketSpec(hedge_lipschitz=-1.0).validate()
+    with pytest.raises(InvariantError, match="hedge_lipschitz"):
+        MarketSpec(
+            rate=0.05, hedge_rate_pos=0.0, hedge_rate_neg=0.0, hedge=proportional_hedge(0.7)
+        ).validate()
     MarketSpec(collateral_frac=0.5, closeout_frac=0.5).validate()
 
 
