@@ -20,14 +20,18 @@ import numpy as np
 
 from .special import GammaParams, gamma_hazard_factor, gamma_survival
 from .simulate import TimeGrid
-from .volmodel import InvariantError, as_time_fn
+from .volmodel import InvariantError, as_time_fn, on_times
 
 _PARTIES = ("investor", "counterparty")
 
 
 @dataclass(frozen=True)
 class PartyDefault:
-    """Default clock of one party: intensity time function plus threshold."""
+    """Default clock of one party: intensity time function plus threshold.
+
+    The intensity is a constant or a time function that takes an array of
+    times (a scalar return is broadcast).
+    """
 
     intensity: object
     threshold: GammaParams
@@ -53,8 +57,7 @@ def no_default_party() -> PartyDefault:
 
 
 def _intensity_on(party: PartyDefault, nodes: np.ndarray, name: str) -> np.ndarray:
-    fn = party.intensity_fn()
-    vals = np.array([float(fn(t)) for t in nodes])
+    vals = on_times(party.intensity, nodes)
     if not np.all(np.isfinite(vals)):
         raise InvariantError(f"{name} intensity must be finite on the grid")
     if np.any(vals < 0.0):

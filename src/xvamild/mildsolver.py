@@ -39,7 +39,7 @@ from .gridfn import (  # re-exported: the solver's output container
 )
 from .simulate import _CHUNK, TimeGrid, _euler_step, _step_table, simulate_paths
 from .valuation import MarketSpec, driver, driver_lipschitz
-from .volmodel import InvariantError, VolModel
+from .volmodel import InvariantError, VolModel, on_times
 
 _BUDGET_CAP = 0.5  # per-slab integrated Lipschitz bound
 _STATE_BUDGET = 500_000  # floats per (nodes x chunk) working set
@@ -454,8 +454,7 @@ def linear_oracle(
     x = paths.valid_x()
     v = paths.valid_v()
     nodes = grid.nodes
-    m_vals = np.array([float(slope(t)) if callable(slope) else float(slope) for t in nodes])
-    w = np.exp(_trapezoid_cumsum(m_vals, nodes))
+    w = np.exp(_trapezoid_cumsum(on_times(slope, nodes), nodes))
     a_vals = np.empty_like(x)
     for k, t in enumerate(nodes):
         a_vals[:, k] = w[k] * np.asarray(source(t, np.exp(x[:, k]), v[:, k]), dtype=float)

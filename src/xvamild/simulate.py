@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .volmodel import InvariantError, VolModel
+from .volmodel import InvariantError, VolModel, on_times
 
 _CHUNK = 4096  # paths per work unit here; the cap on paths per noise stream in the mild-map sweep
 _INVALID_BUDGET = 1e-3
@@ -104,10 +104,10 @@ def _fill_noise(out: np.ndarray, master_seed: int, lo: int) -> None:
 
 def _step_table(model: VolModel, times):
     """(b, rho, sqrt(1 - rho^2)) at the step start times; rejects |rho| >= 1."""
-    rhos = np.array([float(model.correlation(t)) for t in times])
+    rhos = on_times(model.correlation, times)
     if np.any(np.abs(rhos) >= 1.0):
         raise InvariantError("correlation must stay inside (-1, 1) on the grid")
-    bs = np.array([float(model.drift_b(t)) for t in times])
+    bs = on_times(model.drift_b, times)
     return bs, rhos, np.sqrt(1.0 - rhos**2)
 
 
@@ -241,8 +241,8 @@ def moment_report(paths: PathSet, model: VolModel) -> MomentReport:
     v_stderr = av.std(axis=0, ddof=1) / math.sqrt(n)
 
     # E|V_t| <= e^{int l} |v0| + int_t0^t e^{int_s^t l} k(s) ds, trapezoid in s.
-    l_vals = np.array([float(l_zeta(t)) for t in nodes])
-    k_vals = np.array([float(k_zeta(t)) for t in nodes])
+    l_vals = on_times(l_zeta, nodes)
+    k_vals = on_times(k_zeta, nodes)
     cum_l = np.concatenate([[0.0], np.cumsum((l_vals[1:] + l_vals[:-1]) * 0.5 * grid.dt)])
     v_bound = np.empty_like(v_mean)
     for i in range(len(nodes)):
@@ -254,9 +254,9 @@ def moment_report(paths: PathSet, model: VolModel) -> MomentReport:
     sup_x = np.abs(x).max(axis=1)
     x_sup_mean = float(sup_x.mean())
     x_sup_stderr = float(sup_x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    b_abs = np.array([abs(float(model.drift_b(t))) for t in nodes])
-    kt = np.array([float(k_theta(t)) for t in nodes])
-    lt = np.array([float(lam_theta(t)) for t in nodes])
+    b_abs = np.abs(on_times(model.drift_b, nodes))
+    kt = on_times(k_theta, nodes)
+    lt = on_times(lam_theta, nodes)
     int_b_kt2 = float(np.trapezoid(b_abs + kt**2, nodes))
     int_kt2 = float(np.trapezoid(kt**2, nodes))
     int_lt2 = float(np.trapezoid(lt**2, nodes))

@@ -12,7 +12,7 @@ the fixed-point solver's contraction budget relies on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from .defaultclock import DefaultSpec, SurvivalCurve, _trapezoid_cumsum, surviva
 from .gridfn import CoverageError
 from .simulate import TimeGrid, simulate_paths
 from .special import DomainError, gamma_hazard_factor
-from .volmodel import InvariantError, TimeFn, VolModel, as_time_fn
+from .volmodel import InvariantError, TimeFn, VolModel, as_time_fn, on_times
 
 # -- payoff / dividend / hedge building blocks --------------------------------
 
@@ -74,11 +74,13 @@ def proportional_hedge(delta: float) -> Callable:
 class MarketSpec:
     """Rates, fractions, default clocks and contract terms of one valuation.
 
-    All rate entries accept constants or time functions.  collateral_frac
-    and closeout_frac must satisfy 0 <= collateral <= closeout <= 1
-    pointwise.  own_default_funding toggles the investor-side
-    loss-given-default term of the driver.  t0 is the global valuation
-    start; cumulative default intensities accumulate from it.
+    All rate entries accept constants or time functions; a time function
+    takes an array of times, and a scalar return is broadcast (see
+    ``volmodel.on_times``).  collateral_frac and closeout_frac must satisfy
+    0 <= collateral <= closeout <= 1 pointwise.  own_default_funding
+    toggles the investor-side loss-given-default term of the driver.  t0
+    is the global valuation start; cumulative default intensities
+    accumulate from it.
     """
 
     rate: object = 0.0
@@ -99,7 +101,6 @@ class MarketSpec:
     payoff: Callable = constant_payoff(0.0)
     defaults: Optional[DefaultSpec] = None
     t0: float = 0.0
-    _slope_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def fn(self, name: str) -> TimeFn:
         return as_time_fn(getattr(self, name))
@@ -136,25 +137,16 @@ class MarketSpec:
         if self.defaults is None:
             return 0.0, 0.0
         t = float(t)
-        hit = self._slope_cache.get(t)
-        if hit is not None:
-            return hit
         out = []
         for name in ("investor", "counterparty"):
             party = self.defaults.party(name)
-            fn = party.intensity_fn()
-            lam_t = float(fn(t))
-            if t <= self.t0:
-                cum = 0.0
-            else:
+            cum = 0.0
+            if t > self.t0:
                 ts = np.linspace(self.t0, t, 513)
-                vals = np.array([float(fn(s)) for s in ts])
-                cum = float(np.trapezoid(vals, ts))
+                cum = float(np.trapezoid(on_times(party.intensity, ts), ts))
             factor = gamma_hazard_factor(party.threshold, cum)
-            out.append(-lam_t * factor)
-        pair = (out[0], out[1])
-        self._slope_cache[t] = pair
-        return pair
+            out.append(-float(on_times(party.intensity, t)) * factor)
+        return out[0], out[1]
 
 
 # -- discounting ---------------------------------------------------------------
@@ -171,9 +163,7 @@ def discount(rate, s: float, t: float) -> float:
 
 def discount_nodes(rate, nodes: np.ndarray) -> np.ndarray:
     """exp(-int_{nodes[0]}^{t_k} rate) by trapezoid, for grid workloads."""
-    fn = as_time_fn(rate)
-    vals = np.array([float(fn(t)) for t in nodes])
-    return np.exp(-_trapezoid_cumsum(vals, nodes))
+    return np.exp(-_trapezoid_cumsum(on_times(rate, nodes), nodes))
 
 
 # -- the driver ----------------------------------------------------------------

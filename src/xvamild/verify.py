@@ -198,7 +198,7 @@ def check_affine_oracle(setup: RunSetup, threads: int) -> CheckResult:
         for i, (dx, dv) in enumerate(((0.0, 1.0), (-0.3, 0.8), (0.25, 1.2))):
             point = (setup.t0, x0 + dx, setup.v0 * dv)
             ref, se = linear_oracle(
-                setup.model_q, aff.payoff, source, lambda t: -float(rate_fn(t)),
+                setup.model_q, aff.payoff, source, lambda t: -rate_fn(t),
                 point, setup.t_end, n_steps=64, n_paths=20000,
                 seed=setup.master_seed + 900 + i,
             )

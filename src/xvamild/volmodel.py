@@ -28,23 +28,38 @@ class InvariantError(ValueError):
 
 
 def as_time_fn(value) -> TimeFn:
-    """Normalise a constant or callable into a time function."""
+    """Normalise a constant or callable into a time function.
+
+    A time function maps an array of times to an array of the same shape
+    (a scalar time to a scalar); a constant becomes ``np.full`` of it.
+    """
     if callable(value):
         return value
     const = float(value)
-    return lambda t: const
+    return lambda t: np.full(np.shape(t), const)
+
+
+def on_times(value, times) -> np.ndarray:
+    """A constant or time function sampled on ``times``, as a float array.
+
+    A callable that returns a scalar (``lambda t: 0.03``) is broadcast to
+    the shape of ``times``.
+    """
+    times = np.asarray(times, dtype=float)
+    vals = np.asarray(as_time_fn(value)(times), dtype=float)
+    return np.array(np.broadcast_to(vals, times.shape))
 
 
 def _sample_times(horizon: float, n: int = 513) -> np.ndarray:
     return np.linspace(0.0, float(horizon), n)
 
 
-def sampled_sup(fn: TimeFn, horizon: float) -> float:
-    return max(abs(float(fn(t))) for t in _sample_times(horizon))
+def sampled_sup(value, horizon: float) -> float:
+    return float(np.max(np.abs(on_times(value, _sample_times(horizon)))))
 
 
-def sampled_inf(fn: TimeFn, horizon: float) -> float:
-    return min(float(fn(t)) for t in _sample_times(horizon))
+def sampled_inf(value, horizon: float) -> float:
+    return float(np.min(on_times(value, _sample_times(horizon))))
 
 
 @dataclass
@@ -124,19 +139,18 @@ def _validate_power(params: PowerParams, horizon: float) -> None:
     for i, b in enumerate(params.beta):
         if not b >= 0.5:
             raise InvariantError(f"beta[{i}] must satisfy beta >= 1/2, got {b}")
-    k = as_time_fn(params.k)
-    l0 = as_time_fn(params.l0)
-    rho = as_time_fn(params.rho)
-    for t in _sample_times(horizon):
-        if not math.isfinite(float(k(t))) or float(k(t)) < 0.0:
-            raise InvariantError(f"k must be finite and non-negative, got {k(t)} at t={t}")
-        if not math.isfinite(float(l0(t))) or float(l0(t)) < 0.0:
-            raise InvariantError(f"l0 must be finite and non-negative, got {l0(t)} at t={t}")
-        if not abs(float(rho(t))) < 1.0:
-            raise InvariantError(f"rho must stay inside (-1, 1), got {rho(t)} at t={t}")
-        for i, li in enumerate(params.l):
-            if float(as_time_fn(li)(t)) > 0.0:
-                raise InvariantError(f"l[{i}] must be non-positive, got {as_time_fn(li)(t)} at t={t}")
+    ts = _sample_times(horizon)
+    k, l0, rho = (on_times(p, ts) for p in (params.k, params.l0, params.rho))
+    ls = [on_times(li, ts) for li in params.l]
+    for name, vals, rule, bad in [
+        ("k", k, "be finite and non-negative", ~(np.isfinite(k) & (k >= 0.0))),
+        ("l0", l0, "be finite and non-negative", ~(np.isfinite(l0) & (l0 >= 0.0))),
+        ("rho", rho, "stay inside (-1, 1)", ~(np.abs(rho) < 1.0)),
+        *((f"l[{i}]", li, "be non-positive", li > 0.0) for i, li in enumerate(ls)),
+    ]:
+        if bad.any():
+            j = int(np.argmax(bad))  # the first offending time
+            raise InvariantError(f"{name} must {rule}, got {vals[j]} at t={ts[j]}")
 
 
 def build_power_model(params: PowerParams, horizon: float = 1.0) -> VolModel:
@@ -217,11 +231,11 @@ def check_positivity(params: PowerParams, horizon: float = 1.0) -> PositivityRep
     condition holds for any non-negative k.
     """
     _validate_power(params, horizon)
-    k_inf = sampled_inf(as_time_fn(params.k), horizon)
+    k_inf = sampled_inf(params.k, horizon)
     if not params.beta:
         return PositivityReport(True, math.inf, 0.0, k_inf, "no diffusion terms")
     gamma_star = min(float(b) for b in params.beta)
-    lam_sum = sum(sampled_sup(as_time_fn(li), horizon) for li in params.lam)
+    lam_sum = sum(sampled_sup(li, horizon) for li in params.lam)
     if gamma_star >= 1.0:
         return PositivityReport(True, gamma_star, 0.0, k_inf, "holds for any k >= 0")
     if gamma_star == 0.5:

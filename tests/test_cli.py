@@ -4,9 +4,13 @@ import copy
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xvamild.cli import main
 from xvamild.config import (
@@ -118,6 +122,7 @@ def test_default_nt_divides_n_steps():
         (lambda c: c["market"].update(collateral_frac=0.9, closeout_frac=0.4),
          "market.collateral_frac"),
         (lambda c: c["market"].pop("payoff"), "market.payoff"),
+        (lambda c: c["market"].update(rate=float("inf")), "market.rate"),
         (lambda c: c["model"].update(preset="hestonn"), "model.preset"),
         (lambda c: c["model"].update(rho=1.5), "model.rho"),
         (lambda c: c["grid"].update(T=-1.0), "grid.T"),
@@ -220,6 +225,32 @@ def test_cli_sub_unit_threshold_shape_exits_1(tmp_path, capsys, command):
     assert code == 1
     err = capsys.readouterr().err
     assert "run failed" in err and "shape=0.5" in err
+
+
+@st.composite
+def piecewise_constant(draw, lo, hi):
+    """A piecewise_constant time function with breakpoints in and around [0, 0.5]."""
+    times = sorted(draw(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=4, unique=True)))
+    values = draw(st.lists(st.floats(lo, hi), min_size=len(times) + 1, max_size=len(times) + 1))
+    return {"kind": "piecewise_constant", "times": times, "values": values}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    investor=piecewise_constant(0.0, 50.0),
+    counterparty=piecewise_constant(0.0, 50.0),
+    rate=piecewise_constant(-1.0, 1.0),
+)
+def test_fuzzed_time_functions_run_or_exit_with_a_code(investor, counterparty, rate):
+    cfg = full_xva_config()
+    cfg["defaults"]["investor"]["intensity"] = investor
+    cfg["defaults"]["counterparty"]["intensity"] = counterparty
+    cfg["market"]["rate"] = rate
+    build_run(normalise_config(cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(["defaults", "--config", write_cfg(Path(tmp), cfg),
+                     "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)
 
 
 # -- simulate -----------------------------------------------------------------------

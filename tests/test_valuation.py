@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -433,7 +434,7 @@ def test_log_survival_slopes_match_curve():
     assert g_c0 == pytest.approx(-0.2 * 2.0, rel=1e-12)  # exponential clock rate
 
 
-def test_slopes_are_nonpositive_and_cached():
+def test_slopes_are_nonpositive_and_repeatable():
     spec = MarketSpec(
         defaults=DefaultSpec(
             investor=PartyDefault(0.3, GammaParams(1.5, 1.0)),
@@ -442,7 +443,24 @@ def test_slopes_are_nonpositive_and_cached():
     )
     g = spec.log_survival_slopes(0.7)
     assert g[0] <= 0.0 and g[1] <= 0.0
-    assert spec.log_survival_slopes(0.7) is spec.log_survival_slopes(0.7)
+    assert spec.log_survival_slopes(0.7) == spec.log_survival_slopes(0.7)
+
+
+def test_slopes_follow_replaced_default_clocks():
+    def clocks(lam_i, lam_c):
+        return DefaultSpec(
+            investor=PartyDefault(lam_i, GammaParams(1.0, 1.0)),
+            counterparty=PartyDefault(lam_c, GammaParams(1.0, 1.0)),
+        )
+
+    spec = MarketSpec(defaults=clocks(0.1, 0.2))
+    other = clocks(0.5, lambda t: 0.9 + 0.0 * t)
+    assert spec.log_survival_slopes(0.5) == pytest.approx((-0.1, -0.2), rel=1e-12)
+    want = MarketSpec(defaults=other).log_survival_slopes(0.5)
+    assert want == pytest.approx((-0.5, -0.9), rel=1e-12)
+    assert dataclasses.replace(spec, defaults=other).log_survival_slopes(0.5) == want
+    spec.defaults = other
+    assert spec.log_survival_slopes(0.5) == want
 
 
 def test_a_increment_without_defaults_is_driver_plus_rate_term():

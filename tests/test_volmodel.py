@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from xvamild.config import _timefn_build, _timefn_cfg
 from xvamild.volmodel import (
     InvariantError,
     PowerParams,
+    as_time_fn,
     black_scholes_params,
     build_power_model,
     check_positivity,
     garch_params,
     heston_params,
     measure_change,
+    on_times,
 )
 
 
@@ -156,3 +159,27 @@ def test_drift_envelope_dropped_under_premium():
     model = build_power_model(heston_params(k=0.08, l0=2.0, lam=0.3))
     assert measure_change(model, 0.02, 0.5).drift_envelope is None
     assert measure_change(model, 0.02, 0.0).drift_envelope is not None
+
+
+# -- the time-function contract ------------------------------------------------
+
+
+_PIECEWISE = _timefn_build(_timefn_cfg(
+    # one breakpoint exactly on a node, one outside the window
+    {"kind": "piecewise_constant", "times": [0.25, 2.0], "values": [0.1, 0.3, 0.7]}, "rate",
+))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.03, _PIECEWISE, lambda t: 0.02 + 0.01 * t, lambda t: 0.03],
+    ids=["constant", "piecewise", "vectorised", "scalar_return"],
+)
+@pytest.mark.parametrize("shape", [(9,), (3, 3)])
+def test_on_times_matches_pointwise_evaluation(value, shape):
+    nodes = np.linspace(0.0, 1.0, 9).reshape(shape)
+    fn = as_time_fn(value)
+    want = np.array([float(fn(t)) for t in nodes.ravel()]).reshape(shape)
+    got = on_times(value, nodes)
+    assert got.shape == shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
