@@ -321,7 +321,7 @@ def cmd_solve(args) -> int:
     _write_solve_outputs(out, setup, rep)
     out.finish_manifest("solve", args.config, setup.cfg,
                         setup.master_seed, threads, started)
-    here = float(rep.u.evaluate(setup.t0, math.log(setup.s0), setup.v0))
+    here = float(rep.u.evaluate_at_time(setup.t0, math.log(setup.s0), setup.v0))
     status = "converged" if rep.converged else "NOT converged"
     print(
         f"{status} in {sum(rep.sweeps_per_slab)} sweeps over "
@@ -346,7 +346,7 @@ def cmd_price(args) -> int:
     _write_solve_outputs(out, setup, rep)
 
     point = (setup.t0, math.log(setup.s0), setup.v0)
-    grid_value = float(rep.u.evaluate(*point))
+    grid_value = float(rep.u.evaluate_at_time(*point))
     value, stderr = refine_point(
         setup.spec, setup.model_q, rep.u, point, mc, seed_salt=1,
     )

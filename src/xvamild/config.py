@@ -352,12 +352,13 @@ def _norm_defaults(raw) -> Optional[dict]:
     return {"investor": inv, "counterparty": cpy}
 
 
+def _largest_divisor(n: int, cap: int) -> int:
+    """Largest divisor of n that is at most cap."""
+    return max(d for d in range(1, min(cap, n) + 1) if n % d == 0)
+
+
 def _default_nt(n_steps: int) -> int:
-    best = 1
-    for d in range(1, min(8, n_steps) + 1):
-        if n_steps % d == 0:
-            best = d
-    return best + 1
+    return _largest_divisor(n_steps, 8) + 1
 
 
 def _norm_range(val, path: str, positive: bool):

@@ -98,10 +98,6 @@ class GridFunction:
         """Interpolate at one time for vectors of (x, v)."""
         return self._bilinear(self._plane_at(float(t)), np.asarray(x), np.asarray(v))
 
-    def evaluate(self, t: float, x, v):
-        """Interpolate at one scalar time t for scalar or array (x, v)."""
-        return self.evaluate_at_time(t, x, v)
-
 
 def sup_diff(a: GridFunction, b: GridFunction) -> float:
     return float(np.max(np.abs(a.values - b.values)))

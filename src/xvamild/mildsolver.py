@@ -13,10 +13,13 @@ step, so slices starting at different times see the same noise at the
 same time, and every sweep reuses the same streams.
 Iterates therefore differ smoothly in space and time, the contraction is
 visible far below the noise of one sweep, and finite differences across
-time slices stay meaningful.  When the driver's value-Lipschitz budget
-over the horizon exceeds 1/2 the horizon is split into slabs solved
-backwards, each slab taking the next one's first plane as its terminal
-condition.
+time slices stay meaningful.  Everything a sweep needs that depends on
+time alone (the Euler step table, the driver's rates, fractions and
+survival slopes, and the chunk layout) is tabulated once per sweep on
+the master nodes; the driver runs when an iterate is given.  When the
+driver's value-Lipschitz budget over the horizon exceeds 1/2 the
+horizon is split into slabs solved backwards, each slab taking the next
+one's first plane as its terminal condition.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .gridfn import (  # re-exported: the solver's output container
     write_grid_csv,
 )
 from .simulate import _CHUNK, TimeGrid, _euler_step, _step_table, simulate_paths
-from .valuation import MarketSpec, driver, driver_lipschitz
+from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lipschitz
 from .volmodel import InvariantError, VolModel, on_times
 
 _BUDGET_CAP = 0.5  # per-slab integrated Lipschitz bound
@@ -83,98 +86,96 @@ def _master_indices(t_nodes: np.ndarray, master: TimeGrid) -> list:
     return idx
 
 
-def _sweep_slice(
+def _sweep_slices(
     spec: MarketSpec,
     model: VolModel,
     u_prev: Optional[GridFunction],
     master: TimeGrid,
-    m_start: int,
+    starts,
     m_end: int,
     x_flat: np.ndarray,
     v_flat: np.ndarray,
     payoff: Callable,
     mc: McConfig,
-    use_driver: bool,
     seed_salt: int,
 ):
-    """Estimate (T u_prev) on one time slice for all (x, v) nodes at once.
+    """Estimate (T u_prev) for all (x, v) nodes on the slices that start at
+    the master steps ``starts`` and end at m_end.
 
-    Returns (mean, stderr, n_outside, n_evals).  All nodes share each
-    chunk's increments; the stream seed depends only on (master_seed,
-    salt, chunk), never on the slice or the iterate.  Each chunk draws
-    its normals for master steps 0 .. m_end - 1 in one call and the slice
-    reads rows m_start onwards; the generator fills the block in order,
-    so step k consumes the same numbers no matter where the slice begins.
+    Returns (mean, stderr, coverage), with a row per slice.  The step
+    table, the driver's time terms and the chunk layout are tabulated once
+    on master nodes 0 .. m_end and read by master index.  The driver
+    integral is added when u_prev is given; without it a slice estimates
+    E[payoff].  All nodes share each chunk's increments; the stream seed
+    depends only on (master_seed, salt, chunk), never on the slice or the
+    iterate.  Each chunk draws its normals for master steps 0 .. m_end - 1
+    in one call; the generator fills the block in order, so step k
+    consumes the same numbers no matter where the slice begins.
     """
     nodes = master.nodes
     dt = master.dt
     sq_dt = math.sqrt(dt)
     n_nodes = x_flat.size
-    t_end = nodes[m_end]
+    steps = _step_table(model, nodes[:m_end])
+    terms = None if u_prev is None else np.stack(_driver_rates(spec, nodes[: m_end + 1]))
+    size = max(128, min(_CHUNK, _STATE_BUDGET // max(n_nodes, 1)))
+    chunks = [(c, min(size, mc.n_paths - lo)) for c, lo in enumerate(range(0, mc.n_paths, size))]
 
-    if m_start == m_end:
-        vals = np.asarray(payoff(np.exp(x_flat), v_flat), dtype=float)
-        return vals, np.zeros(n_nodes), 0, 0
-
-    ks = range(m_start, m_end)
-    table = _step_table(model, nodes[m_start:m_end])
-
-    chunk = max(128, min(_CHUNK, _STATE_BUDGET // max(n_nodes, 1)))
-    bounds = []
-    done = 0
-    while done < mc.n_paths:
-        bounds.append((len(bounds), min(chunk, mc.n_paths - done)))
-        done += bounds[-1][1]
-
-    def run_chunk(c_idx: int, n_c: int):
+    def run_chunk(m_start: int, c_idx: int, n_c: int):
         rng = np.random.default_rng(
             np.random.SeedSequence([mc.master_seed, seed_salt, c_idx])
         )
-        z = rng.standard_normal((m_end, n_c, 2))[m_start:] * sq_dt
+        z = rng.standard_normal((m_end, n_c, 2)) * sq_dt
         x = np.tile(x_flat[:, None], (1, n_c))
         v = np.tile(v_flat[:, None], (1, n_c))
         integral = np.zeros((n_nodes, n_c))
         prev_rate = None
         outside = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, k in enumerate(ks):
+            for k in range(m_start, m_end):
                 t = nodes[k]
-                if use_driver:
+                if u_prev is not None:
                     xr = x.ravel()
                     vr = v.ravel()
                     outside += int(np.count_nonzero(u_prev.outside(xr, vr)))
                     y = u_prev.evaluate_at_time(t, xr, vr).reshape(x.shape)
-                    rate = driver(spec, t, np.exp(x), v, y)
+                    rate = _driver_at(spec, terms[:, k], t, np.exp(x), v, y)
                     if prev_rate is not None:
                         integral += 0.5 * (prev_rate + rate) * dt
                     prev_rate = rate
-                x, v = _euler_step(model, table, j, t, x, v, dt, z[j, :, 0], z[j, :, 1])
+                x, v = _euler_step(model, steps, k, t, x, v, dt, z[k, :, 0], z[k, :, 1])
         est = np.asarray(payoff(np.exp(x), v), dtype=float)
-        if use_driver:
-            rate_end = driver(spec, t_end, np.exp(x), v, est)
+        if u_prev is not None:
+            rate_end = _driver_at(spec, terms[:, m_end], nodes[m_end], np.exp(x), v, est)
             integral += 0.5 * (prev_rate + rate_end) * dt
             est = est + integral
         if not np.all(np.isfinite(est)):
             raise CoverageError(
                 "non-finite Monte Carlo estimate; the model explodes on this grid"
             )
-        return est.sum(axis=1), (est * est).sum(axis=1), outside, n_c * len(ks) * n_nodes
+        return est.sum(axis=1), (est * est).sum(axis=1), outside
 
-    if mc.threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-            parts = list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        parts = [run_chunk(*b) for b in bounds]
-
-    sums = sum(p[0] for p in parts)
-    sqs = sum(p[1] for p in parts)
-    n_out = sum(p[2] for p in parts)
-    n_eval = sum(p[3] for p in parts) if use_driver else 0
+    mean = np.empty((len(starts), n_nodes))
+    stderr = np.zeros((len(starts), n_nodes))
+    n_out = 0
     n = float(mc.n_paths)
-    mean = sums / n
-    var = np.maximum(sqs - n * mean * mean, 0.0) / (n - 1.0)
-    stderr = np.sqrt(var / n)
-    return mean, stderr, n_out, n_eval
+    for i, m_start in enumerate(starts):
+        if m_start == m_end:
+            mean[i] = np.asarray(payoff(np.exp(x_flat), v_flat), dtype=float)
+            continue
+        if mc.threads > 1 and len(chunks) > 1:
+            with ThreadPoolExecutor(max_workers=mc.threads) as pool:
+                parts = list(pool.map(lambda c: run_chunk(m_start, *c), chunks))
+        else:
+            parts = [run_chunk(m_start, *c) for c in chunks]
+        sums = sum(p[0] for p in parts)
+        sqs = sum(p[1] for p in parts)
+        n_out += sum(p[2] for p in parts)
+        mean[i] = sums / n
+        var = np.maximum(sqs - n * mean[i] * mean[i], 0.0) / (n - 1.0)
+        stderr[i] = np.sqrt(var / n)
+    n_eval = 0 if u_prev is None else mc.n_paths * n_nodes * sum(m_end - m for m in starts)
+    return mean, stderr, n_out / n_eval if n_eval else 0.0
 
 
 def apply_mild_map(
@@ -187,15 +188,16 @@ def apply_mild_map(
     mc: McConfig,
     master: Optional[TimeGrid] = None,
     payoff: Optional[Callable] = None,
-    use_driver: bool = True,
     seed_salt: int = 0,
     m_end: Optional[int] = None,
 ):
     """One Monte Carlo application of the map T on the tensor grid.
 
-    Returns (GridFunction, stderr tensor, coverage fraction).  With
-    use_driver False this is the plain terminal-expectation sweep that
-    seeds the iteration; u_prev may then be None.
+    Returns (GridFunction, stderr tensor, coverage fraction).  The driver
+    runs when an iterate u_prev is given; with u_prev None this is the
+    plain terminal-expectation sweep that seeds the iteration.  The step
+    table, the driver's time terms and the chunk layout are tabulated
+    once per call on the master nodes and shared by every slice.
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
@@ -209,24 +211,11 @@ def apply_mild_map(
         m_end = idx[-1]
 
     xg, vg = np.meshgrid(x_nodes, v_nodes, indexing="ij")
-    x_flat = xg.ravel()
-    v_flat = vg.ravel()
+    mean, err, coverage = _sweep_slices(
+        spec, model, u_prev, master, idx, m_end, xg.ravel(), vg.ravel(), payoff, mc, seed_salt,
+    )
     shape = (len(t_nodes), len(x_nodes), len(v_nodes))
-    values = np.empty(shape)
-    stderr = np.empty(shape)
-    n_out = 0
-    n_eval = 0
-    for i, m_i in enumerate(idx):
-        mean_i, err_i, out_i, eval_i = _sweep_slice(
-            spec, model, u_prev, master, m_i, m_end,
-            x_flat, v_flat, payoff, mc, use_driver, seed_salt,
-        )
-        values[i] = mean_i.reshape(shape[1:])
-        stderr[i] = err_i.reshape(shape[1:])
-        n_out += out_i
-        n_eval += eval_i
-    coverage = n_out / n_eval if n_eval else 0.0
-    return GridFunction(t_nodes, x_nodes, v_nodes, values), stderr, coverage
+    return GridFunction(t_nodes, x_nodes, v_nodes, mean.reshape(shape)), err.reshape(shape), coverage
 
 
 # -- contraction budget and slab partition -------------------------------------
@@ -235,8 +224,7 @@ def apply_mild_map(
 def lipschitz_budget(spec: MarketSpec, t_lo: float, t_hi: float, n: int = 129) -> float:
     """Integral of the driver's value-Lipschitz bound over [t_lo, t_hi]."""
     ts = np.linspace(t_lo, t_hi, n)
-    vals = np.array([driver_lipschitz(spec, t) for t in ts])
-    return float(np.trapezoid(vals, ts))
+    return float(np.trapezoid(driver_lipschitz(spec, ts), ts))
 
 
 def _slab_partition(spec: MarketSpec, t_nodes: np.ndarray) -> list:
@@ -332,7 +320,7 @@ def picard_solve(
         m_end = idx[b]
         u_cur, err, cov = apply_mild_map(
             spec, model, None, slab_t, x_nodes, v_nodes, mc,
-            master=master, payoff=terminal, use_driver=False, m_end=m_end,
+            master=master, payoff=terminal, m_end=m_end,
         )
         slab_err = float(np.max(err))
         n_sweeps = 0
@@ -340,7 +328,7 @@ def picard_solve(
         for _ in range(max_sweeps):
             u_next, err, cov = apply_mild_map(
                 spec, model, u_cur, slab_t, x_nodes, v_nodes, mc,
-                master=master, payoff=terminal, use_driver=True, m_end=m_end,
+                master=master, payoff=terminal, m_end=m_end,
             )
             n_sweeps += 1
             slab_err = float(np.max(err))
@@ -372,7 +360,7 @@ def picard_solve(
     if validate_fresh:
         u_fresh, err_f, _ = apply_mild_map(
             spec, model, u, t_nodes, x_nodes, v_nodes, mc,
-            master=master, payoff=spec.payoff, use_driver=True, seed_salt=1,
+            master=master, payoff=spec.payoff, seed_salt=1,
         )
         gap = sup_diff(u_fresh, u)
         # sup over the grid of independent-noise differences: 5 sigma
@@ -415,16 +403,16 @@ def refine_point(
         val = float(np.asarray(spec.payoff(np.exp(x_pt), v_pt), dtype=float))
         return val, 0.0
     master = TimeGrid(t_pt, t_end, mc.n_steps)
-    mean, err, n_out, n_eval = _sweep_slice(
-        spec, model, u, master, 0, mc.n_steps,
-        np.array([x_pt]), np.array([v_pt]), spec.payoff, mc, True, seed_salt,
+    mean, err, coverage = _sweep_slices(
+        spec, model, u, master, [0], mc.n_steps,
+        np.array([x_pt]), np.array([v_pt]), spec.payoff, mc, seed_salt,
     )
-    if n_eval and n_out / n_eval > 0.01:
+    if coverage > 0.01:
         raise CoverageError(
-            f"{n_out / n_eval:.1%} of path evaluations fell outside the value "
+            f"{coverage:.1%} of path evaluations fell outside the value "
             "grid hull while refining the point"
         )
-    return float(mean[0]), float(err[0])
+    return float(mean[0, 0]), float(err[0, 0])
 
 
 # -- independent affine-problem oracle ------------------------------------------

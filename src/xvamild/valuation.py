@@ -132,20 +132,25 @@ class MarketSpec:
             if not 0.0 <= val <= 1.0:
                 raise InvariantError(f"{name} must lie in [0, 1], got {val}")
 
-    def log_survival_slopes(self, t: float) -> tuple:
-        """(g_I, g_C): d/dt log survival per party at t, both <= 0."""
+    def log_survival_slopes(self, t) -> tuple:
+        """(g_I, g_C): d/dt log survival per party at t, both <= 0.
+
+        For an array of times each slope has its shape; a scalar t gives floats.
+        """
+        times = np.asarray(t, dtype=float)
         if self.defaults is None:
-            return 0.0, 0.0
-        t = float(t)
+            return (np.zeros(times.shape), np.zeros(times.shape)) if times.shape else (0.0, 0.0)
+        flat = times.ravel()
+        live = flat > self.t0
+        ends = np.linspace(self.t0, flat[live], 513, axis=-1)
         out = []
         for name in ("investor", "counterparty"):
             party = self.defaults.party(name)
-            cum = 0.0
-            if t > self.t0:
-                ts = np.linspace(self.t0, t, 513)
-                cum = float(np.trapezoid(on_times(party.intensity, ts), ts))
-            factor = gamma_hazard_factor(party.threshold, cum)
-            out.append(-float(on_times(party.intensity, t)) * factor)
+            # one trapezoid per time: a single 2-D call sums in another order
+            cum = np.zeros(flat.shape)
+            cum[live] = [np.trapezoid(f, ts) for f, ts in zip(on_times(party.intensity, ends), ends)]
+            slope = -on_times(party.intensity, flat) * gamma_hazard_factor(party.threshold, cum)
+            out.append(slope.reshape(times.shape) if times.shape else float(slope[0]))
         return out[0], out[1]
 
 
@@ -169,17 +174,17 @@ def discount_nodes(rate, nodes: np.ndarray) -> np.ndarray:
 # -- the driver ----------------------------------------------------------------
 
 
-def _driver_rates(spec: MarketSpec, t: float) -> tuple:
-    """(a, b, k+, k-, r - h+, r - h-, g_I, g_C, own): the driver's time-t terms.
+def _driver_rates(spec: MarketSpec, t) -> tuple:
+    """(a, b, k+, k-, r - h+, r - h-, g_I, g_C, r): the driver's time-t terms.
 
     a and b are the collateral and close-out fractions, k± = c± a + f± (1 - a)
     the rates on y±, r - h± the rates on the hedge's two parts, g_I and g_C
-    the log-survival slopes, and own is 1 when the investor LGD funding term
-    is on.
+    the log-survival slopes and r the risk-free rate.  t may be an array of
+    times; each term then has its shape.
     """
 
-    def at(name: str) -> float:
-        return float(spec.fn(name)(t))
+    def at(name: str) -> np.ndarray:
+        return on_times(getattr(spec, name), t)
 
     a, r = at("collateral_frac"), at("rate")
     g_i, g_c = spec.log_survival_slopes(t)
@@ -188,7 +193,7 @@ def _driver_rates(spec: MarketSpec, t: float) -> tuple:
         at("collateral_rate_pos") * a + at("funding_rate_pos") * (1.0 - a),
         at("collateral_rate_neg") * a + at("funding_rate_neg") * (1.0 - a),
         r - at("hedge_rate_pos"), r - at("hedge_rate_neg"),
-        g_i, g_c, 1.0 if spec.own_default_funding else 0.0,
+        g_i, g_c, r,
     )
 
 
@@ -200,6 +205,11 @@ def driver(spec: MarketSpec, t: float, s, v, y):
     small negative excursions under the full-line coefficient extension.
     Vectorised over broadcastable (s, v, y).
     """
+    return _driver_at(spec, _driver_rates(spec, t), t, s, v, y)
+
+
+def _driver_at(spec: MarketSpec, terms, t: float, s, v, y):
+    """The driver formula at time t, given ``_driver_rates`` at t."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0) or not np.all(np.isfinite(s_arr)):
         raise DomainError("price s must be positive and finite")
@@ -207,7 +217,8 @@ def driver(spec: MarketSpec, t: float, s, v, y):
     yp = np.maximum(y_arr, 0.0)
     ym = np.maximum(-y_arr, 0.0)
 
-    a, b, k_pos, k_neg, hedge_pos, hedge_neg, g_i, g_c, own = _driver_rates(spec, t)
+    a, b, k_pos, k_neg, hedge_pos, hedge_neg, g_i, g_c, _ = terms
+    own = 1.0 if spec.own_default_funding else 0.0
 
     hedge = np.asarray(spec.hedge(t, s_arr, v, y_arr), dtype=float)
     hp = np.maximum(hedge, 0.0)
@@ -225,14 +236,16 @@ def driver(spec: MarketSpec, t: float, s, v, y):
     return out if out.shape else float(out)
 
 
-def driver_lipschitz(spec: MarketSpec, t: float) -> float:
-    """Upper bound on |d driver / dy| at time t (contraction budget rate)."""
-    a, b, k_pos, k_neg, hedge_pos, hedge_neg, g_i, g_c, own = _driver_rates(spec, t)
-    rate_slope = max(abs(k_pos), abs(k_neg))
-    hedge_slope = spec.hedge_lipschitz * max(abs(hedge_pos), abs(hedge_neg))
-    gi_slope = abs(g_i) * ((1.0 - b) + spec.lgd_investor * max(b - a, 1.0 - a) * own)
-    gc_slope = abs(g_c) * ((1.0 - b) + spec.lgd_counterparty * (b - a))
-    return rate_slope + hedge_slope + gi_slope + gc_slope
+def driver_lipschitz(spec: MarketSpec, t):
+    """Upper bound on |d driver / dy| at a time or an array of times (budget rate)."""
+    a, b, k_pos, k_neg, hedge_pos, hedge_neg, g_i, g_c, _ = _driver_rates(spec, t)
+    own = 1.0 if spec.own_default_funding else 0.0
+    rate_slope = np.maximum(np.abs(k_pos), np.abs(k_neg))
+    hedge_slope = spec.hedge_lipschitz * np.maximum(np.abs(hedge_pos), np.abs(hedge_neg))
+    gi_slope = np.abs(g_i) * ((1.0 - b) + spec.lgd_investor * np.maximum(b - a, 1.0 - a) * own)
+    gc_slope = np.abs(g_c) * ((1.0 - b) + spec.lgd_counterparty * (b - a))
+    out = rate_slope + hedge_slope + gi_slope + gc_slope
+    return out if np.ndim(t) else float(out)
 
 
 def driver_boundary_check(
@@ -276,10 +289,10 @@ def a_process_increment(spec: MarketSpec, curve: SurvivalCurve, t: float, state)
     """
     s, v, y = state
     g = curve.joint_at(t)
-    g_i, g_c = spec.log_survival_slopes(t)
-    r = float(spec.fn("rate")(t))
+    terms = _driver_rates(spec, t)
+    g_i, g_c, r = terms[6:]
     y_arr = np.asarray(y, dtype=float)
-    out = g * (driver(spec, t, s, v, y) + (r - g_i - g_c) * y_arr)
+    out = g * (_driver_at(spec, terms, t, s, v, y) + (r - g_i - g_c) * y_arr)
     return out if out.shape else float(out)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .config import RunSetup, resolve_axes
+from .config import RunSetup, _largest_divisor, resolve_axes
 from .defaultclock import default_density, survival_curve
 from .gridfn import CoverageError, GridFunction
 from .mildsolver import McConfig, comparison_check, linear_oracle, picard_solve
@@ -135,10 +135,7 @@ def check_variance_positivity(setup: RunSetup) -> CheckResult:
 
 
 def _small_time_axis(setup: RunSetup, max_pieces: int = 4) -> np.ndarray:
-    pieces = 1
-    for d in range(1, max_pieces + 1):
-        if setup.n_steps % d == 0:
-            pieces = d
+    pieces = _largest_divisor(setup.n_steps, max_pieces)
     return np.linspace(setup.t0, setup.t_end, pieces + 1)
 
 
@@ -202,7 +199,7 @@ def check_affine_oracle(setup: RunSetup, threads: int) -> CheckResult:
                 point, setup.t_end, n_steps=64, n_paths=20000,
                 seed=setup.master_seed + 900 + i,
             )
-            got = float(rep.u.evaluate(*point))
+            got = float(rep.u.evaluate_at_time(*point))
             slack = max(1e-3, 3.0 * (se + rep.stderr_floor))
             worst = max(worst, abs(got - ref) - slack)
         return worst <= 0.0, f"worst probe excess over slack {worst:.2e}"

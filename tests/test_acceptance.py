@@ -294,7 +294,7 @@ def test_solver_reproduces_price_oracles():
             model_q, aff.payoff, source, -RATE, point, T_END,
             n_steps=64, n_paths=20000, seed=900 + i,
         )
-        got = float(rep.u.evaluate(*point))
+        got = float(rep.u.evaluate_at_time(*point))
         assert abs(got - est) <= max(1e-3, 3.0 * (err + rep.stderr_floor))
 
     assert time.perf_counter() - start < 180.0
@@ -350,7 +350,7 @@ def test_compensated_value_is_flat_on_fresh_paths(xva_solution):
     ref, ref_err = refine_point(
         spec, model, rep.u, (0.0, X0, 0.04), mc, n_paths=200000, seed_salt=77
     )
-    node_gap = abs(float(rep.u.evaluate(0.0, X0, 0.04)) - ref)
+    node_gap = abs(float(rep.u.evaluate_at_time(0.0, X0, 0.04)) - ref)
     assert node_gap <= 3.0 * (ref_err + rep.stderr_floor)
 
     flat = GridFunction(

@@ -78,22 +78,22 @@ def test_gridfunction_reproduces_affine_fields():
         t = rng.uniform(0.0, 1.0)
         x = rng.uniform(-1.0, 1.0)
         v = rng.uniform(0.0, 0.4)
-        got = g.evaluate(t, x, v)
+        got = g.evaluate_at_time(t, x, v)
         assert got == pytest.approx(2.0 * t + 3.0 * x - v, abs=1e-12)
 
 
 def test_gridfunction_flat_extrapolation_and_outside():
     g = affine_grid()
-    inside = g.evaluate(0.5, 1.0, 0.2)
-    assert g.evaluate(0.5, 7.0, 0.2) == pytest.approx(inside, abs=1e-12)
+    inside = g.evaluate_at_time(0.5, 1.0, 0.2)
+    assert g.evaluate_at_time(0.5, 7.0, 0.2) == pytest.approx(inside, abs=1e-12)
     mask = g.outside(np.array([0.0, 7.0, -3.0]), np.array([0.2, 0.2, 0.2]))
     assert mask.tolist() == [False, True, True]
 
 
 def test_gridfunction_clamps_time():
     g = affine_grid()
-    assert g.evaluate(-5.0, 0.0, 0.0) == g.evaluate(0.0, 0.0, 0.0)
-    assert g.evaluate(5.0, 0.0, 0.0) == g.evaluate(1.0, 0.0, 0.0)
+    assert g.evaluate_at_time(-5.0, 0.0, 0.0) == g.evaluate_at_time(0.0, 0.0, 0.0)
+    assert g.evaluate_at_time(5.0, 0.0, 0.0) == g.evaluate_at_time(1.0, 0.0, 0.0)
 
 
 def test_grid_cache_roundtrip_deterministic(tmp_path):
@@ -148,7 +148,7 @@ def test_terminal_slice_is_exact_payoff():
     v_nodes = np.array([0.03, 0.05])
     u0, err, cov = apply_mild_map(
         spec, model, None, [0.0, 0.5], x_nodes, v_nodes,
-        McConfig(n_paths=200, n_steps=10, master_seed=3), use_driver=False,
+        McConfig(n_paths=200, n_steps=10, master_seed=3),
     )
     want = np.minimum(np.maximum(np.exp(x_nodes) - 100.0, 0.0), 30.0)
     assert np.allclose(u0.values[-1], want[:, None], atol=0.0)
@@ -165,7 +165,7 @@ def test_mild_map_agrees_with_direct_simulation():
     grid = TimeGrid(0.0, 0.25, 16)
     u0, err, _ = apply_mild_map(
         spec, model, None, [0.0, 0.25], [X0 - 0.5, X0, X0 + 0.5], [0.03, 0.05],
-        McConfig(n_paths=20000, n_steps=16, master_seed=11), use_driver=False,
+        McConfig(n_paths=20000, n_steps=16, master_seed=11),
     )
     fk_val = u0.values[0, 1, 0]
     fk_err = err[0, 1, 0]
@@ -204,7 +204,7 @@ def test_unit_correlation_rejected_by_every_path_engine():
     with pytest.raises(InvariantError, match="correlation"):
         simulate_paths(model, (X0, 0.04), TimeGrid(0.0, 1.0, 4), 8, 0)
     with pytest.raises(InvariantError, match="correlation"):
-        apply_mild_map(spec, model, None, [0.0, 1.0], x_nodes, v_nodes, mc, use_driver=False)
+        apply_mild_map(spec, model, None, [0.0, 1.0], x_nodes, v_nodes, mc)
     u = GridFunction([0.0, 1.0], x_nodes, v_nodes, np.ones((2, 2, 2)))
     with pytest.raises(InvariantError, match="correlation"):
         refine_point(spec, model, u, (0.0, 4.5, 0.04), mc)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from xvamild.config import build_run, normalise_config
 from xvamild.defaultclock import DefaultSpec, PartyDefault, survival_curve
 from xvamild.gridfn import CoverageError, GridFunction
 from xvamild.simulate import TimeGrid
@@ -16,6 +17,7 @@ from xvamild.special import (
 )
 from xvamild.valuation import (
     MarketSpec,
+    _driver_rates,
     a_process_increment,
     capped_call,
     constant_dividend,
@@ -478,3 +480,72 @@ def test_a_increment_without_defaults_is_driver_plus_rate_term():
         spec, Ones(), 0.3, (np.full(4, 80.0), np.full(4, 0.1), np.arange(4.0))
     )
     assert arr.shape == (4,)
+
+
+def time_table_spec(name):
+    """Specs whose time terms the array route must reproduce bit for bit."""
+    xva = MarketSpec(  # the acceptance fixture: linear counterparty intensity
+        rate=0.03,
+        collateral_rate_pos=0.035, collateral_rate_neg=0.025,
+        funding_rate_pos=0.05, funding_rate_neg=0.02,
+        hedge_rate_pos=0.03, hedge_rate_neg=0.03,
+        collateral_frac=0.5, closeout_frac=1.0,
+        lgd_investor=0.6, lgd_counterparty=0.4,
+        defaults=DefaultSpec(
+            investor=PartyDefault(0.10, GammaParams(1.0, 1.0)),
+            counterparty=PartyDefault(lambda t: 0.15 + 0.1 * t, GammaParams(1.5, 1.0)),
+        ),
+    )
+    if name == "xva_fixture":
+        return xva
+    if name == "config_book":  # piecewise counterparty intensity, break at 0.25
+        cfg = {
+            "model": {"preset": "heston", "s0": 100.0, "v0": 0.04, "k": 0.05,
+                      "l0": 1.0, "lam": 0.3, "rho": -0.5, "drift_b": 0.02},
+            "market": {
+                "rate": 0.03,
+                "collateral_rate_pos": 0.035, "collateral_rate_neg": 0.025,
+                "funding_rate_pos": 0.05, "funding_rate_neg": 0.02,
+                "collateral_frac": 0.5, "closeout_frac": 1.0,
+                "lgd_investor": 0.6, "lgd_counterparty": 0.4,
+                "payoff": {"kind": "capped_call", "strike": 100.0, "cap": 30.0},
+            },
+            "defaults": {
+                "investor": {"intensity": 0.10, "threshold": {"shape": 1.0, "rate": 1.0}},
+                "counterparty": {
+                    "intensity": {"kind": "piecewise_constant", "times": [0.25],
+                                  "values": [0.15, 0.2]},
+                    "threshold": {"shape": 1.5, "rate": 1.0},
+                },
+            },
+            "grid": {"t0": 0.0, "T": 0.5, "n_steps": 32, "nt": 5, "nx": 9, "nv": 5},
+            "mc": {"n_paths": 3000, "master_seed": 7},
+            "solver": {"max_iter": 12, "tol": 0.001},
+        }
+        return build_run(normalise_config(cfg)).spec
+    if name == "hedged":
+        return dataclasses.replace(
+            xva, rate=lambda t: 0.03 + 0.01 * t,
+            hedge=proportional_hedge(0.5), hedge_lipschitz=0.5,
+            hedge_rate_pos=0.04, hedge_rate_neg=0.02, own_default_funding=False,
+            collateral_frac=0.3, closeout_frac=0.8,
+        )
+    return dataclasses.replace(xva, defaults=None)
+
+
+@pytest.mark.parametrize("name", ["xva_fixture", "config_book", "hedged", "no_defaults"])
+def test_time_terms_on_arrays_match_scalar_calls(name):
+    spec = time_table_spec(name)
+    # 33 master nodes of [0, 0.5] (0.25 is node 16), times before t0 and past T
+    times = np.concatenate(([-0.1, 0.0], np.linspace(0.0, 0.5, 33), [0.7]))
+    want = np.array([_driver_rates(spec, float(t)) for t in times]).T
+    assert np.array(_driver_rates(spec, times)).tobytes() == want.tobytes()
+    lips = np.array([driver_lipschitz(spec, float(t)) for t in times])
+    assert driver_lipschitz(spec, times).tobytes() == lips.tobytes()
+    slopes = np.array([spec.log_survival_slopes(float(t)) for t in times]).T
+    assert np.array(spec.log_survival_slopes(times)).tobytes() == slopes.tobytes()
+    g_i, g_c = spec.log_survival_slopes(times.reshape(4, 9))
+    assert g_i.shape == (4, 9) and g_c.tobytes() == slopes[1].tobytes()
+    assert type(driver_lipschitz(spec, 0.3)) is float
+    assert all(type(g) is float for g in spec.log_survival_slopes(0.3))
+    assert type(driver(spec, 0.3, 80.0, 0.1, 2.0)) is float
