@@ -135,10 +135,8 @@ def _sweep_slices(
             for k in range(m_start, m_end):
                 t = nodes[k]
                 if u_prev is not None:
-                    xr = x.ravel()
-                    vr = v.ravel()
-                    outside += int(np.count_nonzero(u_prev.outside(xr, vr)))
-                    y = u_prev.evaluate_at_time(t, xr, vr).reshape(x.shape)
+                    outside += int(np.count_nonzero(u_prev.outside(x, v)))
+                    y = u_prev.evaluate_at_time(t, x, v)
                     rate = _driver_at(spec, terms[:, k], t, np.exp(x), v, y)
                     if prev_rate is not None:
                         integral += 0.5 * (prev_rate + rate) * dt

@@ -209,30 +209,36 @@ def driver(spec: MarketSpec, t: float, s, v, y):
 
 
 def _driver_at(spec: MarketSpec, terms, t: float, s, v, y):
-    """The driver formula at time t, given ``_driver_rates`` at t."""
+    """The driver formula at time t, given ``_driver_rates`` at t, in four work buffers."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0) or not np.all(np.isfinite(s_arr)):
         raise DomainError("price s must be positive and finite")
     y_arr = np.asarray(y, dtype=float)
-    yp = np.maximum(y_arr, 0.0)
-    ym = np.maximum(-y_arr, 0.0)
-
     a, b, k_pos, k_neg, hedge_pos, hedge_neg, g_i, g_c, _ = terms
     own = 1.0 if spec.own_default_funding else 0.0
 
     hedge = np.asarray(spec.hedge(t, s_arr, v, y_arr), dtype=float)
-    hp = np.maximum(hedge, 0.0)
-    hm = np.maximum(-hedge, 0.0)
-
-    out = (
-        np.asarray(spec.dividend(t, s_arr, v), dtype=float)
-        - k_pos * yp
-        + k_neg * ym
-        - hedge_pos * hp
-        + hedge_neg * hm
-        + g_i * ((1.0 - b) * y_arr - spec.lgd_investor * ((b - a) * ym + (1.0 - a) * yp) * own)
-        + g_c * ((1.0 - b) * y_arr + spec.lgd_counterparty * (b - a) * yp)
-    )
+    dividend = np.asarray(spec.dividend(t, s_arr, v), dtype=float)
+    shape = np.broadcast_shapes(dividend.shape, y_arr.shape, hedge.shape, *map(np.shape, terms))
+    out, work, yp, ym = (np.empty(shape) for _ in range(4))
+    np.maximum(y_arr, 0.0, out=yp)
+    np.maximum(np.negative(y_arr, out=ym), 0.0, out=ym)
+    np.subtract(dividend, np.multiply(k_pos, yp, out=work), out=out)
+    out += np.multiply(k_neg, ym, out=work)
+    np.maximum(hedge, 0.0, out=work)
+    out -= np.multiply(hedge_pos, work, out=work)
+    np.maximum(np.negative(hedge, out=work), 0.0, out=work)
+    out += np.multiply(hedge_neg, work, out=work)
+    # g_I * ((1 - b) y - lgd_I ((b - a) y- + (1 - a) y+) own)
+    np.multiply(b - a, ym, out=work)
+    work += np.multiply(1.0 - a, yp, out=ym)
+    work *= spec.lgd_investor
+    work *= own
+    np.multiply(1.0 - b, y_arr, out=ym)  # (1 - b) y, read again by the g_C term
+    out += np.multiply(g_i, np.subtract(ym, work, out=work), out=work)
+    # g_C * ((1 - b) y + lgd_C (b - a) y+)
+    np.multiply(spec.lgd_counterparty * (b - a), yp, out=yp)
+    out += np.multiply(g_c, np.add(ym, yp, out=work), out=work)
     return out if out.shape else float(out)
 
 
@@ -270,11 +276,7 @@ def driver_boundary_check(
             worst_lo = min(worst_lo, float(np.min(driver(spec, t, s_grid, v_grid, lower))))
         if math.isfinite(upper):
             worst_hi = max(worst_hi, float(np.max(driver(spec, t, s_grid, v_grid, upper))))
-    ok = True
-    if math.isfinite(lower):
-        ok = ok and worst_lo >= -1e-12
-    if math.isfinite(upper):
-        ok = ok and worst_hi <= 1e-12
+    ok = worst_lo >= -1e-12 and worst_hi <= 1e-12  # an infinite bound keeps its +-inf start
     return {"ok": ok, "min_at_lower": worst_lo, "max_at_upper": worst_hi}
 
 
@@ -287,9 +289,12 @@ def a_process_increment(spec: MarketSpec, curve: SurvivalCurve, t: float, state)
     Equals joint survival times (driver + (rate - g_I - g_C) * y); the
     survival comes from the supplied curve, the slopes from the spec.
     """
+    return _a_increment(spec, curve.joint_at(t), _driver_rates(spec, t), t, state)
+
+
+def _a_increment(spec: MarketSpec, g: float, terms, t: float, state):
+    """The A density at time t, given joint survival g and ``_driver_rates`` at t."""
     s, v, y = state
-    g = curve.joint_at(t)
-    terms = _driver_rates(spec, t)
     g_i, g_c, r = terms[6:]
     y_arr = np.asarray(y, dtype=float)
     out = g * (_driver_at(spec, terms, t, s, v, y) + (r - g_i - g_c) * y_arr)
@@ -353,6 +358,7 @@ def martingale_residual(
         curve = SurvivalCurve(nodes, np.ones(len(nodes)), np.ones(len(nodes)))
     g_joint = curve.joint
     disc = discount_nodes(spec.fn("rate"), nodes)
+    rates = np.stack(_driver_rates(spec, nodes))
 
     outside = 0
     total = 0
@@ -365,7 +371,7 @@ def martingale_residual(
         outside += int(np.count_nonzero(u.outside(x[:, k], v[:, k])))
         total += n
         state = (np.exp(x[:, k]), v[:, k], u_k)
-        integrand = disc[k] * a_process_increment(spec, curve, t, state)
+        integrand = disc[k] * _a_increment(spec, curve.joint_at(t), rates[:, k], t, state)
         if prev_integrand is not None:
             integral = integral + 0.5 * (prev_integrand + integrand) * grid.dt
         prev_integrand = integrand

@@ -96,6 +96,62 @@ def test_gridfunction_clamps_time():
     assert g.evaluate_at_time(5.0, 0.0, 0.0) == g.evaluate_at_time(1.0, 0.0, 0.0)
 
 
+def searchsorted_bilinear(xn, vn, plane, x, v):
+    """The binary-search bilinear gather the O(1) cell lookup replaced."""
+    xc = np.clip(x, xn[0], xn[-1])
+    vc = np.clip(v, vn[0], vn[-1])
+    ix = np.clip(np.searchsorted(xn, xc, side="right") - 1, 0, len(xn) - 2)
+    iv = np.clip(np.searchsorted(vn, vc, side="right") - 1, 0, len(vn) - 2)
+    wx = (xc - xn[ix]) / (xn[ix + 1] - xn[ix])
+    wv = (vc - vn[iv]) / (vn[iv + 1] - vn[iv])
+    return (
+        plane[ix, iv] * (1.0 - wx) * (1.0 - wv)
+        + plane[ix + 1, iv] * wx * (1.0 - wv)
+        + plane[ix, iv + 1] * (1.0 - wx) * wv
+        + plane[ix + 1, iv + 1] * wx * wv
+    )
+
+
+GATHER_AXES = {
+    "linspace": np.linspace(4.0220, 5.0441, 21),
+    "three": np.array([X0 - 0.5, X0, X0 + 0.5]),
+    "geomspace": np.geomspace(1e-4, 3.0, 17),
+    "skewed": np.array([0.0, 1e-3, 1.0]),
+    "random": np.cumsum(np.random.default_rng(8).uniform(1e-6, 1.0, 13)) - 3.0,
+    "two": np.array([-1.0, 2.5]),
+}
+
+
+def gather_queries(nodes):
+    """On every node, one ulp either side of it, outside the hull, +-inf and NaN."""
+    return np.concatenate([
+        nodes,
+        np.nextafter(nodes, np.inf),
+        np.nextafter(nodes, -np.inf),
+        [nodes[0] - 1.0, nodes[-1] + 1.0, np.inf, -np.inf, np.nan],
+        np.random.default_rng(len(nodes)).uniform(nodes[0] - 0.1, nodes[-1] + 0.1, 40),
+    ])
+
+
+@pytest.mark.parametrize("x_axis", sorted(GATHER_AXES))
+def test_cell_lookup_matches_binary_search_bit_for_bit(x_axis):
+    xn = GATHER_AXES[x_axis]
+    for vn in GATHER_AXES.values():
+        plane = np.random.default_rng(1).normal(size=(len(xn), len(vn)))
+        g = GridFunction(np.array([0.0, 1.0]), xn, vn, np.stack([plane, plane]))
+        xq, vq = (a.ravel() for a in np.meshgrid(gather_queries(xn), gather_queries(vn)))
+        got = g.evaluate_at_time(0.0, xq, vq)
+        assert np.array_equal(got, searchsorted_bilinear(xn, vn, plane, xq, vq), equal_nan=True)
+        finite = ~np.isnan(got)
+        assert finite.any() and np.isnan(vq[~finite] + xq[~finite]).all()
+        # scalars stay scalars, broadcasting still works
+        one = g.evaluate_at_time(0.0, xq[7], vq[7])
+        assert np.shape(one) == () and np.array_equal(one, got[7])
+        grid = g.evaluate_at_time(0.0, xq[:5, None], vq[None, :6])
+        want = searchsorted_bilinear(xn, vn, plane, xq[:5, None], vq[None, :6])
+        assert np.array_equal(grid, want, equal_nan=True)
+
+
 def test_grid_cache_roundtrip_deterministic(tmp_path):
     g = affine_grid()
     p1 = tmp_path / "a.zip"

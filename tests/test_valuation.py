@@ -8,6 +8,7 @@ from scipy import integrate
 from xvamild.config import build_run, normalise_config
 from xvamild.defaultclock import DefaultSpec, PartyDefault, survival_curve
 from xvamild.gridfn import CoverageError, GridFunction
+from xvamild.mildsolver import McConfig, apply_mild_map
 from xvamild.simulate import TimeGrid
 from xvamild.special import (
     DomainError,
@@ -17,6 +18,7 @@ from xvamild.special import (
 )
 from xvamild.valuation import (
     MarketSpec,
+    _driver_at,
     _driver_rates,
     a_process_increment,
     capped_call,
@@ -33,6 +35,7 @@ from xvamild.valuation import (
 )
 from xvamild.volmodel import (
     InvariantError,
+    PowerParams,
     black_scholes_params,
     build_power_model,
     measure_change,
@@ -549,3 +552,89 @@ def test_time_terms_on_arrays_match_scalar_calls(name):
     assert type(driver_lipschitz(spec, 0.3)) is float
     assert all(type(g) is float for g in spec.log_survival_slopes(0.3))
     assert type(driver(spec, 0.3, 80.0, 0.1, 2.0)) is float
+
+
+def collected_driver(spec, terms, t, s, v, y):
+    """The driver as one expression, the form the buffered route must match."""
+    s_arr = np.asarray(s, dtype=float)
+    y_arr = np.asarray(y, dtype=float)
+    yp = np.maximum(y_arr, 0.0)
+    ym = np.maximum(-y_arr, 0.0)
+    a, b, k_pos, k_neg, hedge_pos, hedge_neg, g_i, g_c, _ = terms
+    own = 1.0 if spec.own_default_funding else 0.0
+    hedge = np.asarray(spec.hedge(t, s_arr, v, y_arr), dtype=float)
+    hp = np.maximum(hedge, 0.0)
+    hm = np.maximum(-hedge, 0.0)
+    out = (
+        np.asarray(spec.dividend(t, s_arr, v), dtype=float)
+        - k_pos * yp
+        + k_neg * ym
+        - hedge_pos * hp
+        + hedge_neg * hm
+        + g_i * ((1.0 - b) * y_arr - spec.lgd_investor * ((b - a) * ym + (1.0 - a) * yp) * own)
+        + g_c * ((1.0 - b) * y_arr + spec.lgd_counterparty * (b - a) * yp)
+    )
+    return out if out.shape else float(out)
+
+
+def driver_spec(name):
+    xva = time_table_spec("xva_fixture")
+    if name == "hedged":
+        return dataclasses.replace(
+            xva, hedge=proportional_hedge(-0.7), hedge_lipschitz=0.7,
+            hedge_rate_pos=0.04, hedge_rate_neg=0.02, collateral_frac=0.3, closeout_frac=0.7,
+        )
+    if name == "no_own_funding":
+        return dataclasses.replace(xva, own_default_funding=False, collateral_frac=0.35,
+                                   closeout_frac=0.9)
+    if name == "dividend":
+        return dataclasses.replace(xva, dividend=constant_dividend(0.7))
+    return xva
+
+
+@pytest.mark.parametrize("name", ["xva_fixture", "hedged", "no_own_funding", "dividend"])
+def test_driver_matches_collected_formula_bit_for_bit(name):
+    spec = driver_spec(name)
+    rng = np.random.default_rng(4)
+    s = np.exp(rng.normal(4.6, 0.3, 64))
+    v = rng.uniform(-0.01, 0.3, 64)
+    y = np.concatenate([rng.normal(0.0, 5.0, 58), [0.0, -0.0, 1.0, -1.0, 1e-300, -30.0]])
+    times = np.linspace(0.0, 0.5, 5)
+    table = np.stack(_driver_rates(spec, times))  # the sweep reads rows of this
+    for k, t in enumerate(times):
+        for terms in (_driver_rates(spec, t), table[:, k]):
+            want = collected_driver(spec, terms, t, s, v, y)
+            assert _driver_at(spec, terms, t, s, v, y).tobytes() == want.tobytes()
+            want = collected_driver(spec, terms, t, s[:, None], v[:, None], y[None, :8])
+            got = _driver_at(spec, terms, t, s[:, None], v[:, None], y[None, :8])
+            assert got.shape == (64, 8) and got.tobytes() == want.tobytes()
+        terms = _driver_rates(spec, t)
+        want = collected_driver(spec, terms, t, s, v, y)
+        assert driver(spec, t, s, v, y).tobytes() == want.tobytes()
+        for yi in (0.0, -0.0, 2.5, -2.5):
+            got = driver(spec, t, 90.0, 0.04, yi)
+            want = collected_driver(spec, terms, t, 90.0, 0.04, yi)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_exploding_paths_raise_as_before_through_the_gather(monkeypatch):
+    # the variance blows up, then the price: the gather sees inf and NaN
+    # states before the driver rejects the price
+    model = build_power_model(PowerParams(lam=[20.0], beta=[2.0], theta0=0.2, theta1=0.0))
+    spec = MarketSpec(rate=0.03, collateral_rate_pos=0.05, payoff=capped_call(100.0, 30.0))
+    x0 = math.log(100.0)
+    t, x, v = np.array([0.0, 0.5, 1.0]), np.array([x0 - 0.5, x0, x0 + 0.5]), np.array([0.5, 1.0])
+    u_prev = GridFunction(t, x, v, np.ones((3, 3, 2)))
+    seen = []
+    gather = GridFunction.evaluate_at_time
+
+    def spy(self, tt, xq, vq):
+        seen.append(bool(np.all(np.isfinite(xq)) and np.all(np.isfinite(vq))))
+        return gather(self, tt, xq, vq)
+
+    monkeypatch.setattr(GridFunction, "evaluate_at_time", spy)
+    mc = McConfig(n_paths=256, n_steps=16, master_seed=3)
+    with np.errstate(all="ignore"), pytest.raises(DomainError) as err:
+        apply_mild_map(spec, model, u_prev, t, x, v, mc)
+    assert str(err.value) == "price s must be positive and finite"
+    assert not all(seen)
