@@ -33,18 +33,15 @@ from .config import (
     normalise_config,
     resolve_axes,
 )
-from .defaultclock import default_density, sample_default_times, empirical_survival, survival_curve
-from .gridfn import CoverageError, save_grid, write_grid_csv
+from .defaultclock import (default_density, empirical_survival, identity_gaps,
+                           sample_default_times, survival_curve)
+from .gridfn import CoverageError, save_grid, write_grid_csv, write_table
 from .mildsolver import McConfig, picard_solve, refine_point
 from .simulate import InvalidPathBudgetError, TimeGrid, positivity_report, simulate_paths
 from .special import DomainError, SingularInputError
 from .valuation import discount
 from .verify import run_verify
 from .volmodel import InvariantError, check_positivity
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
 
 
 class OutputDir:
@@ -132,28 +129,16 @@ def cmd_simulate(args) -> int:
         setup.n_paths, setup.master_seed, threads=threads,
     )
 
-    def write_terminal(fh):
-        fh.write("path_id,x_T,v_T,invalid\n")
-        for i in range(paths.n_paths):
-            fh.write(
-                f"{i},{_fmt(paths.x[i, -1])},{_fmt(paths.v[i, -1])},"
-                f"{int(paths.invalid[i])}\n"
-            )
-
-    out.write_with("terminal.csv", write_terminal)
+    out.write_with("terminal.csv", lambda fh: write_table(
+        fh, ("path_id", "x_T", "v_T", "invalid"),
+        (range(paths.n_paths), paths.x[:, -1], paths.v[:, -1], paths.invalid)))
 
     x, v = paths.valid_x(), paths.valid_v()
-
-    def write_summary(fh):
-        fh.write("t,mean_x,std_x,mean_v,std_v,min_v\n")
-        for k, t in enumerate(grid.nodes):
-            fh.write(
-                f"{_fmt(t)},{_fmt(x[:, k].mean())},{_fmt(x[:, k].std(ddof=1))},"
-                f"{_fmt(v[:, k].mean())},{_fmt(v[:, k].std(ddof=1))},"
-                f"{_fmt(v[:, k].min())}\n"
-            )
-
-    out.write_with("summary.csv", write_summary)
+    ks = range(len(grid.nodes))  # one reduction per node: x.mean(axis=0) sums in another order
+    out.write_with("summary.csv", lambda fh: write_table(
+        fh, ("t", "mean_x", "std_x", "mean_v", "std_v", "min_v"),
+        (grid.nodes, [x[:, k].mean() for k in ks], [x[:, k].std(ddof=1) for k in ks],
+         [v[:, k].mean() for k in ks], [v[:, k].std(ddof=1) for k in ks], v.min(axis=0))))
 
     path_rep = positivity_report(paths)
     feller = check_positivity(setup.params, horizon=setup.t_end)
@@ -191,15 +176,9 @@ def cmd_defaults(args) -> int:
     out = OutputDir(args.out)
     dspec = setup.spec.defaults
 
-    # the identity must hold on a dense grid before anything is written;
-    # first-passage densities can carry a root-like kink at the left end
-    dense = TimeGrid(setup.t0, setup.t_end, 20000)
-    gaps = {
-        "investor": default_density(dspec, dense, "investor").identity_gap,
-        "counterparty": default_density(dspec, dense, "counterparty").identity_gap,
-        "joint": default_density(dspec, dense).identity_gap,
-    }
-    worst = max(abs(g) for g in gaps.values())
+    # the identity must hold before anything is written
+    gaps = identity_gaps(dspec, setup.t0, setup.t_end)
+    worst = max(gaps.values())
     if worst > 1e-6:
         print(
             f"density identity gap {worst:.3e} exceeds 1e-6; refusing to write curves",
@@ -215,41 +194,21 @@ def cmd_defaults(args) -> int:
         "joint": default_density(dspec, grid),
     }
 
+    header = ["t", "investor", "counterparty", "joint"]
+    columns = [grid.nodes, curve.investor, curve.counterparty, curve.joint]
     mc_gap = None
     tie_fraction = None
-    emp = None
     if args.mc_check:
         times = sample_default_times(dspec, grid, 100000, setup.master_seed)
         emp = empirical_survival(times.joint, grid.nodes)
         tie_fraction = times.tie_fraction
         mc_gap = float(np.max(np.abs(emp - curve.joint)))
+        header += ["empirical_joint", "abs_gap"]
+        columns += [emp, np.abs(emp - curve.joint)]
 
-    def write_survival(fh):
-        header = "t,investor,counterparty,joint"
-        if emp is not None:
-            header += ",empirical_joint,abs_gap"
-        fh.write(header + "\n")
-        for k, t in enumerate(grid.nodes):
-            row = (
-                f"{_fmt(t)},{_fmt(curve.investor[k])},"
-                f"{_fmt(curve.counterparty[k])},{_fmt(curve.joint[k])}"
-            )
-            if emp is not None:
-                row += f",{_fmt(emp[k])},{_fmt(abs(emp[k] - curve.joint[k]))}"
-            fh.write(row + "\n")
-
-    out.write_with("survival.csv", write_survival)
-
-    def write_density(fh):
-        fh.write("t,investor,counterparty,joint\n")
-        for k, t in enumerate(grid.nodes):
-            fh.write(
-                f"{_fmt(t)},{_fmt(dens['investor'].values[k])},"
-                f"{_fmt(dens['counterparty'].values[k])},"
-                f"{_fmt(dens['joint'].values[k])}\n"
-            )
-
-    out.write_with("density.csv", write_density)
+    out.write_with("survival.csv", lambda fh: write_table(fh, header, columns))
+    out.write_with("density.csv", lambda fh: write_table(
+        fh, ("t", *dens), (grid.nodes, *(d.values for d in dens.values()))))
 
     summary = {
         "identity_gaps_dense": gaps,

@@ -212,6 +212,20 @@ def default_density(
     )
 
 
+def identity_gaps(spec: DefaultSpec, t0: float, t_end: float) -> dict:
+    """Density identity gaps of the investor, counterparty and joint clocks.
+
+    First-passage densities can carry a root-like kink at t0, so the
+    trapezoid needs a dense grid for the identity to reach 1e-6.
+    """
+    dense = TimeGrid(t0, t_end, 20000)
+    return {
+        "investor": default_density(spec, dense, "investor").identity_gap,
+        "counterparty": default_density(spec, dense, "counterparty").identity_gap,
+        "joint": default_density(spec, dense).identity_gap,
+    }
+
+
 def empirical_survival(times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Share of sampled times strictly beyond each node."""
     t = np.asarray(times)

@@ -4,7 +4,9 @@ Values live on a tensor grid (t_nodes, x_nodes, v_nodes).  Evaluation
 interpolates linearly inside the hull and extrapolates flat outside it
 (``outside`` flags such queries).  A query's (x, v) cell is guessed in O(1)
 from the axis origin and spacing, then corrected to the cell a binary search
-finds, so values equal those of a binary-search lookup bit for bit.
+finds, so values equal those of a binary-search lookup bit for bit.  The
+package's one CSV writer, ``write_table``, writes the value grid here and the
+command line's path, survival and density tables.
 """
 
 from __future__ import annotations
@@ -124,15 +126,18 @@ def sup_diff(a: GridFunction, b: GridFunction) -> float:
     return float(np.max(np.abs(a.values - b.values)))
 
 
+def write_table(fileobj, header, columns) -> None:
+    """CSV of equal-length columns, one row per index; every cell goes through
+    ``float`` at 17 significant digits, so ints and bools print as 0, 1, 123."""
+    fileobj.write(",".join(header) + "\n")
+    for row in zip(*columns):
+        fileobj.write(",".join(f"{float(c):.17g}" for c in row) + "\n")
+
+
 def write_grid_csv(fn: GridFunction, fileobj) -> None:
     """Rows (t, x, v, u) in node order with full float precision."""
-    fileobj.write("t,x,v,u\n")
-    for i, t in enumerate(fn.t_nodes):
-        for j, x in enumerate(fn.x_nodes):
-            for k, v in enumerate(fn.v_nodes):
-                fileobj.write(
-                    f"{t:.17g},{x:.17g},{v:.17g},{fn.values[i, j, k]:.17g}\n"
-                )
+    axes = np.meshgrid(fn.t_nodes, fn.x_nodes, fn.v_nodes, indexing="ij")
+    write_table(fileobj, ("t", "x", "v", "u"), [a.ravel() for a in (*axes, fn.values)])
 
 
 def _npy_bytes(arr: np.ndarray) -> bytes:

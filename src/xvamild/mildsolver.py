@@ -16,16 +16,18 @@ visible far below the noise of one sweep, and finite differences across
 time slices stay meaningful.  Everything a sweep needs that depends on
 time alone (the Euler step table, the driver's rates, fractions and
 survival slopes, and the chunk layout) is tabulated once per sweep on
-the master nodes; the driver runs when an iterate is given.  When the
-driver's value-Lipschitz budget over the horizon exceeds 1/2 the
-horizon is split into slabs solved backwards, each slab taking the next
-one's first plane as its terminal condition.
+the master nodes; the driver runs when an iterate is given.  A sweep
+with more than one chunk hands its chunks to the package's one executor,
+``simulate._map_chunks`` (a thread pool when mc.threads > 1), and sums
+their results in chunk order, so the thread count never changes a bit.
+When the driver's value-Lipschitz budget over the horizon exceeds 1/2
+the horizon is split into slabs solved backwards, each slab taking the
+next one's first plane as its terminal condition.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -40,7 +42,7 @@ from .gridfn import (  # re-exported: the solver's output container
     sup_diff,
     write_grid_csv,
 )
-from .simulate import _CHUNK, TimeGrid, _euler_step, _step_table, simulate_paths
+from .simulate import _CHUNK, TimeGrid, _euler_step, _map_chunks, _step_table, simulate_paths
 from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lipschitz
 from .volmodel import InvariantError, VolModel, on_times
 
@@ -161,11 +163,7 @@ def _sweep_slices(
         if m_start == m_end:
             mean[i] = np.asarray(payoff(np.exp(x_flat), v_flat), dtype=float)
             continue
-        if mc.threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=mc.threads) as pool:
-                parts = list(pool.map(lambda c: run_chunk(m_start, *c), chunks))
-        else:
-            parts = [run_chunk(m_start, *c) for c in chunks]
+        parts = _map_chunks(lambda c: run_chunk(m_start, *c), chunks, mc.threads)
         sums = sum(p[0] for p in parts)
         sqs = sum(p[1] for p in parts)
         n_out += sum(p[2] for p in parts)
@@ -187,7 +185,6 @@ def apply_mild_map(
     master: Optional[TimeGrid] = None,
     payoff: Optional[Callable] = None,
     seed_salt: int = 0,
-    m_end: Optional[int] = None,
 ):
     """One Monte Carlo application of the map T on the tensor grid.
 
@@ -205,12 +202,9 @@ def apply_mild_map(
     if payoff is None:
         payoff = spec.payoff
     idx = _master_indices(t_nodes, master)
-    if m_end is None:
-        m_end = idx[-1]
-
     xg, vg = np.meshgrid(x_nodes, v_nodes, indexing="ij")
     mean, err, coverage = _sweep_slices(
-        spec, model, u_prev, master, idx, m_end, xg.ravel(), vg.ravel(), payoff, mc, seed_salt,
+        spec, model, u_prev, master, idx, idx[-1], xg.ravel(), vg.ravel(), payoff, mc, seed_salt,
     )
     shape = (len(t_nodes), len(x_nodes), len(v_nodes))
     return GridFunction(t_nodes, x_nodes, v_nodes, mean.reshape(shape)), err.reshape(shape), coverage
@@ -297,7 +291,7 @@ def picard_solve(
     min_sweeps = min(min_sweeps, max_sweeps)
     spec.validate(horizon=max(float(t_nodes[-1]) - spec.t0, 1e-9))
     master = TimeGrid(float(t_nodes[0]), float(t_nodes[-1]), mc.n_steps)
-    idx = _master_indices(t_nodes, master)
+    _master_indices(t_nodes, master)  # off-grid time nodes fail before any budget work
 
     budget = lipschitz_budget(spec, float(t_nodes[0]), float(t_nodes[-1]))
     slab_ix = _slab_partition(spec, t_nodes)
@@ -310,15 +304,13 @@ def picard_solve(
     sup_diffs = []
     sweeps_per_slab = []
     converged = True
-    xg, vg = np.meshgrid(x_nodes, v_nodes, indexing="ij")
 
     terminal = spec.payoff
     for a, b in reversed(list(zip(slab_ix[:-1], slab_ix[1:]))):
         slab_t = t_nodes[a : b + 1]
-        m_end = idx[b]
         u_cur, err, cov = apply_mild_map(
             spec, model, None, slab_t, x_nodes, v_nodes, mc,
-            master=master, payoff=terminal, m_end=m_end,
+            master=master, payoff=terminal,
         )
         slab_err = float(np.max(err))
         n_sweeps = 0
@@ -326,7 +318,7 @@ def picard_solve(
         for _ in range(max_sweeps):
             u_next, err, cov = apply_mild_map(
                 spec, model, u_cur, slab_t, x_nodes, v_nodes, mc,
-                master=master, payoff=terminal, m_end=m_end,
+                master=master, payoff=terminal,
             )
             n_sweeps += 1
             slab_err = float(np.max(err))

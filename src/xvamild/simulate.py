@@ -102,6 +102,14 @@ def _fill_noise(out: np.ndarray, master_seed: int, lo: int) -> None:
         out[j] = rng.standard_normal(out.shape[1:])
 
 
+def _map_chunks(fn, tasks, threads: int) -> list:
+    """fn over tasks in task order, on a thread pool when there are threads and tasks to share."""
+    if threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
+
+
 def _step_table(model: VolModel, times):
     """(b, rho, sqrt(1 - rho^2)) at the step start times; rejects |rho| >= 1."""
     rhos = on_times(model.correlation, times)
@@ -167,12 +175,7 @@ def simulate_paths(
                 vs[lo:hi, k + 1] = v
 
     bounds = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        for b in bounds:
-            run_chunk(*b)
+    _map_chunks(lambda b: run_chunk(*b), bounds, threads)
 
     invalid = ~(np.isfinite(xs).all(axis=1) & np.isfinite(vs).all(axis=1))
     paths = PathSet(grid=grid, x=xs, v=vs, master_seed=master_seed, invalid=invalid)

@@ -16,13 +16,14 @@ import numpy as np
 from scipy import integrate
 
 from .config import RunSetup, _largest_divisor, resolve_axes
-from .defaultclock import default_density, survival_curve
+from .defaultclock import identity_gaps, survival_curve
 from .gridfn import CoverageError, GridFunction
 from .mildsolver import McConfig, comparison_check, linear_oracle, picard_solve
 from .simulate import TimeGrid
 from .special import GammaParams, gamma_survival
 from .valuation import (
     MarketSpec,
+    constant_dividend,
     constant_payoff,
     discount,
     driver_boundary_check,
@@ -104,18 +105,13 @@ def check_gamma_tail() -> CheckResult:
 
 
 def check_default_clock(setup: RunSetup) -> CheckResult:
-    """Density identity and joint factorisation for the configured clocks."""
+    """Density identity (``defaultclock.identity_gaps``, as `defaults` checks
+    it before writing) and joint factorisation for the configured clocks."""
 
     def body():
         if setup.spec.defaults is None:
             return True, "no default clocks configured; nothing to check"
-        # first-passage densities can have a root-like kink at t0, so the
-        # identity needs a dense trapezoid grid to reach 1e-6
-        grid = TimeGrid(setup.t0, setup.t_end, 20000)
-        worst = 0.0
-        for party in ("investor", "counterparty"):
-            worst = max(worst, abs(default_density(setup.spec.defaults, grid, party).identity_gap))
-        worst = max(worst, abs(default_density(setup.spec.defaults, grid).identity_gap))
+        worst = max(0.0, *identity_gaps(setup.spec.defaults, setup.t0, setup.t_end).values())
         curve = survival_curve(setup.spec.defaults, TimeGrid(setup.t0, setup.t_end, 512))
         factorised = np.array_equal(curve.joint, curve.investor * curve.counterparty)
         ok = worst <= 1e-6 and factorised
@@ -139,26 +135,32 @@ def _small_time_axis(setup: RunSetup, max_pieces: int = 4) -> np.ndarray:
     return np.linspace(setup.t0, setup.t_end, pieces + 1)
 
 
+def _flat_rate_spec(setup: RunSetup, **terms) -> MarketSpec:
+    """Every rate equal to the market rate, so the driver is plain
+    discounting plus what ``terms`` adds (a dividend, a payoff)."""
+    r = setup.spec.rate
+    return MarketSpec(
+        rate=r,
+        collateral_rate_pos=r, collateral_rate_neg=r,
+        funding_rate_pos=r, funding_rate_neg=r,
+        hedge_rate_pos=r, hedge_rate_neg=r,
+        t0=setup.t0,
+        **terms,
+    )
+
+
 def check_discount_bond(setup: RunSetup, threads: int) -> CheckResult:
     """Unit payoff with every rate equal must price to the discount bond."""
 
     def body():
-        r = setup.spec.rate
-        bond = MarketSpec(
-            rate=r,
-            collateral_rate_pos=r, collateral_rate_neg=r,
-            funding_rate_pos=r, funding_rate_neg=r,
-            hedge_rate_pos=r, hedge_rate_neg=r,
-            payoff=constant_payoff(1.0),
-            t0=setup.t0,
-        )
+        bond = _flat_rate_spec(setup, payoff=constant_payoff(1.0))
         x0 = math.log(setup.s0)
         t_nodes = _small_time_axis(setup)
         x_nodes = np.linspace(x0 - 0.5, x0 + 0.5, 7)
         v_nodes = np.linspace(max(0.5 * setup.v0, 1e-8), 1.5 * setup.v0 + 1e-8, 3)
         mc = McConfig(n_paths=4000, n_steps=16, master_seed=setup.master_seed, threads=threads)
         rep = picard_solve(bond, setup.model_q, t_nodes, x_nodes, v_nodes, mc, tol=1e-4)
-        expected = np.array([discount(r, t, setup.t_end) for t in t_nodes])
+        expected = np.array([discount(bond.rate, t, setup.t_end) for t in t_nodes])
         err = float(np.max(np.abs(rep.u.values - expected[:, None, None])))
         limit = max(1e-3, 3.0 * rep.stderr_floor)
         return err <= limit, f"max |u - discount| {err:.2e} (limit {limit:.2e})"
@@ -170,17 +172,8 @@ def check_affine_oracle(setup: RunSetup, threads: int) -> CheckResult:
     """Fixed point vs the closed mild form on an affine driver."""
 
     def body():
-        r = setup.spec.rate
         rate_fn = setup.spec.fn("rate")
-        aff = MarketSpec(
-            rate=r,
-            collateral_rate_pos=r, collateral_rate_neg=r,
-            funding_rate_pos=r, funding_rate_neg=r,
-            hedge_rate_pos=r, hedge_rate_neg=r,
-            dividend=lambda t, s, v: np.full_like(np.asarray(s, dtype=float), 0.01),
-            payoff=setup.spec.payoff,
-            t0=setup.t0,
-        )
+        aff = _flat_rate_spec(setup, dividend=constant_dividend(0.01), payoff=setup.spec.payoff)
         x0 = math.log(setup.s0)
         t_nodes = _small_time_axis(setup)
         x_nodes = np.linspace(x0 - 0.6, x0 + 0.6, 9)
@@ -188,14 +181,11 @@ def check_affine_oracle(setup: RunSetup, threads: int) -> CheckResult:
         mc = McConfig(n_paths=6000, n_steps=16, master_seed=setup.master_seed, threads=threads)
         rep = picard_solve(aff, setup.model_q, t_nodes, x_nodes, v_nodes, mc, tol=1e-4)
 
-        def source(t, s, v):
-            return np.full_like(np.asarray(s, dtype=float), 0.01)
-
         worst = 0.0
         for i, (dx, dv) in enumerate(((0.0, 1.0), (-0.3, 0.8), (0.25, 1.2))):
             point = (setup.t0, x0 + dx, setup.v0 * dv)
             ref, se = linear_oracle(
-                setup.model_q, aff.payoff, source, lambda t: -rate_fn(t),
+                setup.model_q, aff.payoff, aff.dividend, lambda t: -rate_fn(t),
                 point, setup.t_end, n_steps=64, n_paths=20000,
                 seed=setup.master_seed + 900 + i,
             )

@@ -182,7 +182,7 @@ def build_power_model(params: PowerParams, horizon: float = 1.0) -> VolModel:
         out = 0.0
         for li, b in zip(lams, betas):
             out = out + li(t) * av**b
-        return out + np.zeros_like(np.asarray(v, dtype=float))
+        return out if lams else np.zeros_like(np.asarray(v, dtype=float))
 
     def theta(t, v):
         return theta0(t) + theta1(t) * np.sqrt(np.abs(v))

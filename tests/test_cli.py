@@ -20,6 +20,13 @@ from xvamild.config import (
     normalise_config,
     resolve_axes,
 )
+from xvamild.defaultclock import (
+    default_density,
+    empirical_survival,
+    sample_default_times,
+    survival_curve,
+)
+from xvamild.simulate import TimeGrid
 
 
 def full_xva_config():
@@ -318,6 +325,39 @@ def test_defaults_curves_and_mc_check(tmp_path):
     assert max(abs(g) for g in summary["identity_gaps_dense"].values()) <= 1e-6
     assert summary["empirical_sup_gap"] <= 0.01
     assert 0.9 < summary["atoms"]["joint"] < 1.0
+
+
+def _fmt(x):
+    return f"{float(x):.17g}"
+
+
+@pytest.mark.parametrize("mc_check", [False, True])
+def test_defaults_tables_match_the_per_row_fstrings(tmp_path, mc_check):
+    # the rows the command wrote with one f-string per row before the table writer
+    cfg = full_xva_config()
+    out = tmp_path / "o"
+    assert main(["defaults", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+                + ["--mc-check"] * mc_check) == 0
+    setup = build_run(normalise_config(cfg))
+    grid = TimeGrid(setup.t0, setup.t_end, setup.n_steps)
+    curve = survival_curve(setup.spec.defaults, grid)
+    emp = None
+    if mc_check:
+        times = sample_default_times(setup.spec.defaults, grid, 100000, setup.master_seed)
+        emp = empirical_survival(times.joint, grid.nodes)
+    header = "t,investor,counterparty,joint" + (",empirical_joint,abs_gap" if mc_check else "")
+    rows = [header]
+    for k, t in enumerate(grid.nodes):
+        row = f"{_fmt(t)},{_fmt(curve.investor[k])},{_fmt(curve.counterparty[k])},{_fmt(curve.joint[k])}"
+        if emp is not None:
+            row += f",{_fmt(emp[k])},{_fmt(abs(emp[k] - curve.joint[k]))}"
+        rows.append(row)
+    assert (out / "survival.csv").read_text() == "".join(r + "\n" for r in rows)
+    dens = [default_density(setup.spec.defaults, grid, p).values for p in ("investor", "counterparty", None)]
+    rows = ["t,investor,counterparty,joint"] + [
+        ",".join(_fmt(c) for c in (t, dens[0][k], dens[1][k], dens[2][k])) for k, t in enumerate(grid.nodes)
+    ]
+    assert (out / "density.csv").read_text() == "".join(r + "\n" for r in rows)
 
 
 # -- solve / price ------------------------------------------------------------------

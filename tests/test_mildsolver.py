@@ -5,7 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from xvamild.defaultclock import DefaultSpec, PartyDefault
+from xvamild.gridfn import write_table
 from xvamild.mildsolver import (
+    _STATE_BUDGET,
     GridFunction,
     McConfig,
     apply_mild_map,
@@ -21,14 +24,15 @@ from xvamild.mildsolver import (
     sup_diff,
     write_grid_csv,
 )
-from xvamild.simulate import TimeGrid, simulate_paths
+from xvamild.simulate import _CHUNK, TimeGrid, simulate_paths
+from xvamild.special import GammaParams
 from xvamild.valuation import (
     MarketSpec,
     capped_call,
     constant_dividend,
     constant_payoff,
 )
-from xvamild.volmodel import InvariantError, black_scholes_params, build_power_model
+from xvamild.volmodel import InvariantError, black_scholes_params, build_power_model, heston_params
 
 X0 = math.log(100.0)
 
@@ -173,6 +177,20 @@ def test_write_grid_csv_full_precision():
     assert len(lines) == 1 + 3 * 5 * 3
     t, x, v, u = (float(tok) for tok in lines[1].split(","))
     assert u == 2.0 * t + 3.0 * x - v
+
+
+@pytest.mark.parametrize("column, old_cell", [
+    ([0, 7, 123456], lambda c: f"{c}"),  # terminal.csv's path ids
+    (np.array([0, 7, 123456]), lambda c: f"{c}"),
+    (np.array([True, False]), lambda c: f"{int(c)}"),  # terminal.csv's invalid flags
+    (np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300]), lambda c: f"{float(c):.17g}"),
+    (np.array([0.1, 1.0 / 3.0, -2.5e-17]), lambda c: f"{c:.17g}"),  # write_grid_csv's cells
+])
+def test_write_table_matches_the_per_row_fstrings(column, old_cell):
+    buf = io.StringIO()
+    write_table(buf, ("a", "b"), (column, column[::-1]))
+    rows = [f"{old_cell(a)},{old_cell(b)}" for a, b in zip(column, column[::-1])]
+    assert buf.getvalue() == "a,b\n" + "".join(row + "\n" for row in rows)
 
 
 # -- map plumbing ----------------------------------------------------------------
@@ -492,3 +510,43 @@ def test_fresh_seed_validation_on_bond():
         McConfig(n_paths=64, n_steps=40, master_seed=5), tol=1e-6,
     )
     assert rep2.fresh_gap is None and rep2.fresh_ok is None
+
+
+# -- thread-count determinism ------------------------------------------------------
+
+
+def multi_chunk_problem():
+    spec = MarketSpec(
+        rate=0.03, funding_rate_pos=0.05, funding_rate_neg=0.02,
+        collateral_frac=0.5, lgd_investor=0.6, lgd_counterparty=0.4,
+        payoff=capped_call(100.0, 30.0),
+        defaults=DefaultSpec(
+            investor=PartyDefault(0.10, GammaParams(1.0, 1.0)),
+            counterparty=PartyDefault(lambda t: 0.15 + 0.1 * t, GammaParams(1.5, 1.0)),
+        ),
+    )
+    model = build_power_model(heston_params(k=0.05, l0=1.0, lam=0.3, rho=-0.5, drift_b=0.03))
+    t = np.linspace(0.0, 0.5, 4)
+    x = np.linspace(X0 - 1.0, X0 + 1.0, 21)
+    v = np.linspace(-0.1, 0.3, 5)  # Euler variance dips below zero; the hull keeps it
+    payoff = np.minimum(np.maximum(np.exp(x) - 100.0, 0.0), 30.0)
+    u = GridFunction(t, x, v, np.broadcast_to(payoff[None, :, None], (4, 21, 5)).copy())
+    return spec, model, u
+
+
+def test_multi_chunk_sweeps_are_bit_identical_across_thread_counts():
+    spec, model, u = multi_chunk_problem()
+    n_nodes = len(u.x_nodes) * len(u.v_nodes)
+    mc = McConfig(n_paths=9600, n_steps=6, master_seed=4)
+    assert math.ceil(mc.n_paths / min(_CHUNK, _STATE_BUDGET // n_nodes)) >= 3
+    assert math.ceil(8500 / _CHUNK) >= 3
+    runs = []
+    for threads in (1, 2, 3):
+        mc_t = replace(mc, threads=threads)
+        sweep, err, cov = apply_mild_map(spec, model, u, u.t_nodes, u.x_nodes, u.v_nodes, mc_t)
+        runs.append((sweep.values, err, cov, refine_point(spec, model, u, (0.0, X0, 0.04), mc_t, 8500)))
+    for values, err, cov, refined in runs[1:]:
+        assert np.array_equal(values, runs[0][0])
+        assert np.array_equal(err, runs[0][1])
+        assert cov == runs[0][2]
+        assert refined == runs[0][3]
