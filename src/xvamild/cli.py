@@ -103,6 +103,8 @@ def _resolve_threads(args) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError("XVA_MILD_THREADS", f"not an integer: {env!r}") from exc
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return max(1, os.cpu_count() or 1)
 
 
@@ -363,7 +365,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", default="xvamild_out", help="output directory")
     sub.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default: XVA_MILD_THREADS or all cores)",
+        help="worker threads (default: XVA_MILD_THREADS or the cores available to the process)",
     )
     sub.add_argument(
         "--seed", type=_nonneg_int, default=None,

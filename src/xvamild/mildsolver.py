@@ -16,10 +16,12 @@ visible far below the noise of one sweep, and finite differences across
 time slices stay meaningful.  Everything a sweep needs that depends on
 time alone (the Euler step table, the driver's rates, fractions and
 survival slopes, and the chunk layout) is tabulated once per sweep on
-the master nodes; the driver runs when an iterate is given.  A sweep
-with more than one chunk hands its chunks to the package's one executor,
-``simulate._map_chunks`` (a thread pool when mc.threads > 1), and sums
-their results in chunk order, so the thread count never changes a bit.
+the master nodes; the driver runs when an iterate is given.  Every sweep
+cuts each chunk into one block of grid nodes per thread and hands the
+(chunk, node block) tasks to the package's one executor,
+``simulate._map_chunks`` (threads when mc.threads > 1).  Each node's sums
+reduce along its own row, the blocks are put back in node order and the
+chunks summed in chunk order, so the thread count never changes a bit.
 When the driver's value-Lipschitz budget over the horizon exceeds 1/2
 the horizon is split into slabs solved backwards, each slab taking the
 next one's first plane as its terminal condition.
@@ -28,6 +30,7 @@ next one's first plane as its terminal condition.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -88,6 +91,31 @@ def _master_indices(t_nodes: np.ndarray, master: TimeGrid) -> list:
     return idx
 
 
+def _node_blocks(n_nodes: int, threads: int) -> list:
+    """[lo, hi) node ranges covering 0 .. n_nodes in order: min(threads,
+    n_nodes) blocks, at least one, whose sizes differ by at most one node."""
+    n = max(1, min(threads, n_nodes))
+    cuts = [i * n_nodes // n for i in range(n + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _shared(draw: Callable, users: int) -> Callable:
+    """draw(key), computed once per key and handed to ``users`` callers on any
+    thread; the table drops a key at its last caller, so it holds only the
+    keys of running tasks."""
+    lock = threading.Lock()
+    held = {}
+
+    def get(key):
+        with lock:
+            value, left = held.pop(key, None) or (draw(key), users)
+            if left > 1:
+                held[key] = (value, left - 1)
+            return value
+
+    return get
+
+
 def _sweep_slices(
     spec: MarketSpec,
     model: VolModel,
@@ -113,6 +141,13 @@ def _sweep_slices(
     iterate.  Each chunk draws its normals for master steps 0 .. m_end - 1
     in one call; the generator fills the block in order, so step k
     consumes the same numbers no matter where the slice begins.
+
+    Every slice, one chunk or many, runs as (chunk, node block) tasks in
+    chunk-major order on ``simulate._map_chunks``, with ``_node_blocks``
+    cutting each chunk into one block per thread.  A chunk's normals are
+    drawn once and shared by its blocks.  Each node's sums reduce along its
+    own row, so concatenating the block sums in block order and adding the
+    chunks in chunk order gives the same bits at any thread count.
     """
     nodes = master.nodes
     dt = master.dt
@@ -122,15 +157,21 @@ def _sweep_slices(
     terms = None if u_prev is None else np.stack(_driver_rates(spec, nodes[: m_end + 1]))
     size = max(128, min(_CHUNK, _STATE_BUDGET // max(n_nodes, 1)))
     chunks = [(c, min(size, mc.n_paths - lo)) for c, lo in enumerate(range(0, mc.n_paths, size))]
+    blocks = _node_blocks(n_nodes, mc.threads)
+    tasks = [(c, lo, hi) for c in chunks for lo, hi in blocks]
 
-    def run_chunk(m_start: int, c_idx: int, n_c: int):
+    def draw(chunk):
+        c_idx, n_c = chunk
         rng = np.random.default_rng(
             np.random.SeedSequence([mc.master_seed, seed_salt, c_idx])
         )
-        z = rng.standard_normal((m_end, n_c, 2)) * sq_dt
-        x = np.tile(x_flat[:, None], (1, n_c))
-        v = np.tile(v_flat[:, None], (1, n_c))
-        integral = np.zeros((n_nodes, n_c))
+        return rng.standard_normal((m_end, n_c, 2)) * sq_dt
+
+    def run_block(m_start: int, z: np.ndarray, lo: int, hi: int):
+        n_c = z.shape[1]
+        x = np.tile(x_flat[lo:hi, None], (1, n_c))
+        v = np.tile(v_flat[lo:hi, None], (1, n_c))
+        integral = np.zeros((hi - lo, n_c))
         prev_rate = None
         outside = 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -159,13 +200,18 @@ def _sweep_slices(
     stderr = np.zeros((len(starts), n_nodes))
     n_out = 0
     n = float(mc.n_paths)
+    nb = len(blocks)
     for i, m_start in enumerate(starts):
         if m_start == m_end:
             mean[i] = np.asarray(payoff(np.exp(x_flat), v_flat), dtype=float)
             continue
-        parts = _map_chunks(lambda c: run_chunk(m_start, *c), chunks, mc.threads)
-        sums = sum(p[0] for p in parts)
-        sqs = sum(p[1] for p in parts)
+        normals = _shared(draw, nb)
+        parts = _map_chunks(
+            lambda task: run_block(m_start, normals(task[0]), *task[1:]), tasks, mc.threads
+        )
+        per_chunk = [parts[j : j + nb] for j in range(0, len(parts), nb)]
+        sums = sum(np.concatenate([p[0] for p in c]) for c in per_chunk)
+        sqs = sum(np.concatenate([p[1] for p in c]) for c in per_chunk)
         n_out += sum(p[2] for p in parts)
         mean[i] = sums / n
         var = np.maximum(sqs - n * mean[i] * mean[i], 0.0) / (n - 1.0)

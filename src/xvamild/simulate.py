@@ -12,6 +12,7 @@ the coefficients, not the stepper.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -103,11 +104,34 @@ def _fill_noise(out: np.ndarray, master_seed: int, lo: int) -> None:
 
 
 def _map_chunks(fn, tasks, threads: int) -> list:
-    """fn over tasks in task order, on a thread pool when there are threads and tasks to share."""
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(task) for task in tasks]
+    """fn over tasks, results in task order.
+
+    With threads > 1 and tasks to share, the caller and up to threads - 1
+    pool workers take tasks in order from one queue.  The caller works
+    rather than waits, so its malloc arena, already grown, holds its share
+    of the working set instead of one more worker's fresh arena.
+    """
+    if threads <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    queue = iter(enumerate(tasks))
+    lock = threading.Lock()
+    results = [None] * len(tasks)
+
+    def work():
+        while True:
+            with lock:
+                i, task = next(queue, (None, None))
+            if i is None:
+                return
+            results[i] = fn(task)
+
+    n_helpers = min(threads, len(tasks)) - 1
+    with ThreadPoolExecutor(max_workers=n_helpers) as pool:
+        helpers = [pool.submit(work) for _ in range(n_helpers)]
+        work()
+    for helper in helpers:
+        helper.result()
+    return results
 
 
 def _step_table(model: VolModel, times):

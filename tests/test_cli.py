@@ -451,3 +451,19 @@ def test_threads_env_fallback(monkeypatch, tmp_path):
     Args.threads = None
     with pytest.raises(ConfigError, match="XVA_MILD_THREADS"):
         _resolve_threads(Args())
+
+
+def test_threads_default_is_the_cores_available_to_the_process(monkeypatch):
+    from xvamild.cli import _resolve_threads
+
+    class Args:
+        threads = None
+
+    monkeypatch.delenv("XVA_MILD_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert _resolve_threads(Args()) == 3  # a taskset or cpuset of 3 cores on a 64-core machine
+    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity use the core count
+    assert _resolve_threads(Args()) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_threads(Args()) == 1

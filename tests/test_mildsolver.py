@@ -1,5 +1,7 @@
 import io
 import math
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,8 @@ from xvamild.defaultclock import DefaultSpec, PartyDefault
 from xvamild.gridfn import write_table
 from xvamild.mildsolver import (
     _STATE_BUDGET,
+    _node_blocks,
+    _shared,
     GridFunction,
     McConfig,
     apply_mild_map,
@@ -24,7 +28,7 @@ from xvamild.mildsolver import (
     sup_diff,
     write_grid_csv,
 )
-from xvamild.simulate import _CHUNK, TimeGrid, simulate_paths
+from xvamild.simulate import _CHUNK, TimeGrid, _map_chunks, simulate_paths
 from xvamild.special import GammaParams
 from xvamild.valuation import (
     MarketSpec,
@@ -550,3 +554,67 @@ def test_multi_chunk_sweeps_are_bit_identical_across_thread_counts():
         assert np.array_equal(err, runs[0][1])
         assert cov == runs[0][2]
         assert refined == runs[0][3]
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 7, 35, 45, 189])
+@pytest.mark.parametrize("threads", [1, 2, 3, 4, 16, 10**6])
+def test_node_blocks_cover_the_nodes_in_near_equal_order(n_nodes, threads):
+    blocks = _node_blocks(n_nodes, threads)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n_nodes
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    sizes = [hi - lo for lo, hi in blocks]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert len(blocks) == min(n_nodes, threads)
+    if threads == 1:
+        assert blocks == [(0, n_nodes)]
+
+
+def test_shared_draw_runs_once_per_chunk_under_thread_contention():
+    drawn = []
+    users = 5
+
+    def draw(key):
+        drawn.append(key)
+        time.sleep(1e-4)  # a slow draw: callers of the same key arrive while it runs
+        return np.full(3, key)
+
+    tasks = [(key, j) for key in range(40) for j in range(users)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        get = _shared(draw, users)
+        out = _map_chunks(lambda task: (task, get(task[0])), tasks, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [task for task, _ in out] == tasks
+    assert all(np.array_equal(z, np.full(3, task[0])) for task, z in out)
+    assert sorted(drawn) == list(range(40))
+
+
+def test_single_chunk_sweeps_are_bit_identical_across_thread_counts():
+    spec, model, u = multi_chunk_problem()
+    x = np.linspace(X0 - 0.3, X0 + 0.3, 7)
+    v = np.linspace(0.02, 0.2, 5)
+    mc = McConfig(n_paths=1500, n_steps=6, master_seed=4)
+    assert mc.n_paths <= min(_CHUNK, _STATE_BUDGET // (len(x) * len(v)))  # one chunk
+    runs = []
+    for threads in (1, 2, 3):
+        mc_t = replace(mc, threads=threads)
+        swept, err, cov = apply_mild_map(spec, model, u, u.t_nodes, x, v, mc_t)
+        terminal, err0, _ = apply_mild_map(spec, model, None, u.t_nodes, x, v, mc_t)
+        solved = picard_solve(spec, model, u.t_nodes, x, v, mc_t, tol=1e-9, max_sweeps=3)
+        refined = refine_point(spec, model, u, (0.0, X0, 0.04), mc_t, 4000)
+        runs.append((swept.values, err, cov, terminal.values, err0, solved.u.values,
+                     solved.sup_diffs, refined))
+    # no two nodes share a value, so node blocks put back in another order could not match
+    for field in (runs[0][0][0], runs[0][3][0], runs[0][5][0]):
+        assert len(np.unique(field)) == field.size
+    for run in runs[1:]:
+        assert np.array_equal(run[0], runs[0][0])
+        assert np.array_equal(run[1], runs[0][1])
+        assert run[2] == runs[0][2]
+        assert np.array_equal(run[3], runs[0][3])
+        assert np.array_equal(run[4], runs[0][4])
+        assert np.array_equal(run[5], runs[0][5])
+        assert run[6] == runs[0][6]
+        assert run[7] == runs[0][7]
