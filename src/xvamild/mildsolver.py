@@ -142,12 +142,13 @@ def _sweep_slices(
     in one call; the generator fills the block in order, so step k
     consumes the same numbers no matter where the slice begins.
 
-    Every slice, one chunk or many, runs as (chunk, node block) tasks in
-    chunk-major order on ``simulate._map_chunks``, with ``_node_blocks``
-    cutting each chunk into one block per thread.  A chunk's normals are
-    drawn once and shared by its blocks.  Each node's sums reduce along its
-    own row, so concatenating the block sums in block order and adding the
-    chunks in chunk order gives the same bits at any thread count.
+    One ``simulate._map_chunks`` call runs (chunk, node block) tasks in
+    chunk-major order, with ``_node_blocks`` cutting each chunk into one
+    block per thread; each task sweeps every slice with m_start < m_end in
+    order.  A chunk's normals are drawn once per call and shared by its
+    blocks.  Each node's sums reduce along its own row, so concatenating
+    the block sums in block order and adding the chunks in chunk order
+    gives, slice by slice, the same bits at any thread count.
     """
     nodes = master.nodes
     dt = master.dt
@@ -198,24 +199,29 @@ def _sweep_slices(
 
     mean = np.empty((len(starts), n_nodes))
     stderr = np.zeros((len(starts), n_nodes))
-    n_out = 0
     n = float(mc.n_paths)
     nb = len(blocks)
+    swept = []
     for i, m_start in enumerate(starts):
         if m_start == m_end:
             mean[i] = np.asarray(payoff(np.exp(x_flat), v_flat), dtype=float)
-            continue
-        normals = _shared(draw, nb)
-        parts = _map_chunks(
-            lambda task: run_block(m_start, normals(task[0]), *task[1:]), tasks, mc.threads
-        )
-        per_chunk = [parts[j : j + nb] for j in range(0, len(parts), nb)]
-        sums = sum(np.concatenate([p[0] for p in c]) for c in per_chunk)
-        sqs = sum(np.concatenate([p[1] for p in c]) for c in per_chunk)
-        n_out += sum(p[2] for p in parts)
+        else:
+            swept.append(i)
+    normals = _shared(draw, nb)
+
+    def run_task(task):
+        z = normals(task[0])
+        return [run_block(starts[i], z, *task[1:]) for i in swept]
+
+    parts = _map_chunks(run_task, tasks, mc.threads) if swept else []
+    per_chunk = [parts[j : j + nb] for j in range(0, len(parts), nb)]
+    for col, i in enumerate(swept):
+        sums = sum(np.concatenate([p[col][0] for p in c]) for c in per_chunk)
+        sqs = sum(np.concatenate([p[col][1] for p in c]) for c in per_chunk)
         mean[i] = sums / n
         var = np.maximum(sqs - n * mean[i] * mean[i], 0.0) / (n - 1.0)
         stderr[i] = np.sqrt(var / n)
+    n_out = sum(r[2] for p in parts for r in p)
     n_eval = 0 if u_prev is None else mc.n_paths * n_nodes * sum(m_end - m for m in starts)
     return mean, stderr, n_out / n_eval if n_eval else 0.0
 

@@ -98,8 +98,17 @@ def path_increments(grid: TimeGrid, master_seed: int, path_id: int):
 
 
 def _fill_noise(out: np.ndarray, master_seed: int, lo: int) -> None:
+    """Row j gets path lo + j's normals, seeded as ``path_increments`` seeds
+    them.  SeedSequence turns the list [master_seed, path_id] into the
+    32-bit words of each entry, least significant first, and concatenates
+    them; handing it those words as one uint32 array is the same entropy
+    without the per-path list conversion."""
+    seed = int(master_seed)
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.array(words + [0], dtype=np.uint32)
     for j in range(out.shape[0]):
-        rng = np.random.default_rng(np.random.SeedSequence([master_seed, lo + j]))
+        entropy[-1] = lo + j
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
         out[j] = rng.standard_normal(out.shape[1:])
 
 

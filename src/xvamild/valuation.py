@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .defaultclock import DefaultSpec, SurvivalCurve, _trapezoid_cumsum, survival_curve
 from .gridfn import CoverageError
@@ -158,11 +157,18 @@ class MarketSpec:
 
 
 def discount(rate, s: float, t: float) -> float:
-    """exp(-int_s^t rate) for s <= t, and 1 otherwise."""
+    """exp(-int_s^t rate) for s <= t, and 1 otherwise.
+
+    A constant rate has the closed form; a callable one is integrated by
+    adaptive quadrature, whose module loads on the first such call.
+    """
     if s >= t:
         return 1.0
-    fn = as_time_fn(rate)
-    val, _ = integrate.quad(fn, s, t, epsabs=1e-13, epsrel=1e-13, limit=200)
+    if not callable(rate):
+        return math.exp(-float(rate) * (t - s))
+    from scipy import integrate
+
+    val, _ = integrate.quad(rate, s, t, epsabs=1e-13, epsrel=1e-13, limit=200)
     return math.exp(-val)
 
 

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .config import RunSetup, _largest_divisor, resolve_axes
 from .defaultclock import identity_gaps, survival_curve
@@ -64,6 +63,7 @@ def _timed(name, fn) -> CheckResult:
 
 def _quad_tail(shape: float, rate: float, x: float) -> float:
     """Adaptive-quadrature gamma tail, independent of the package's own route."""
+    from scipy import integrate
 
     def logdens(y):
         return (

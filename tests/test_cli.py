@@ -4,6 +4,8 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from xvamild.cli import main
 from xvamild.config import (
@@ -394,6 +397,60 @@ def test_solve_rerun_reproduces_value_digest(tmp_path):
 
 
 # -- verify -------------------------------------------------------------------------
+
+
+# -- start-up -----------------------------------------------------------------------
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def tiny_book():
+    cfg = json.loads((REPO / "perfbench" / "book.json").read_text())
+    cfg["grid"].update(n_steps=8, nt=3, nx=5, nv=3)
+    cfg["mc"]["n_paths"] = 400
+    return cfg
+
+
+def fresh_python(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["xvamild.cli", "xvamild.mildsolver"])
+def test_import_leaves_quadrature_unloaded(module):
+    assert fresh_python(f"import sys, {module}; print('scipy.integrate' in sys.modules)") == "False"
+
+
+def test_price_of_a_constant_rate_leaves_quadrature_unloaded(tmp_path):
+    cfg_path = write_cfg(tmp_path, tiny_book())
+    out = tmp_path / "o"
+    code = (
+        "import sys; from xvamild.cli import main; "
+        f"rc = main(['price', '--config', {cfg_path!r}, '--out', {str(out)!r}, "
+        "'--threads', '1']); print(rc, 'scipy.integrate' in sys.modules)"
+    )
+    assert fresh_python(code) == "0 False"
+    price = json.loads((out / "price.json").read_text())
+    assert price["discount_to_horizon"] == math.exp(-0.03 * 0.5)
+
+
+def test_price_of_a_piecewise_rate_discounts_by_quadrature(tmp_path):
+    cfg = tiny_book()
+    cfg["market"]["rate"] = {"kind": "piecewise_constant", "times": [0.25], "values": [0.03, 0.04]}
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["price", "--config", cfg_path, "--out", str(out), "--threads", "1"]) == 0
+    price = json.loads((out / "price.json").read_text())
+    rate = build_run(normalise_config(cfg)).spec.rate
+    val, _ = integrate.quad(rate, 0.0, 0.5, epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert price["discount_to_horizon"] == math.exp(-val)
+    assert price["discount_to_horizon"] == pytest.approx(math.exp(-0.0175), rel=1e-12)
 
 
 def test_verify_passes_on_sound_config(tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from xvamild.defaultclock import DefaultSpec, PartyDefault
+from xvamild import mildsolver
 from xvamild.gridfn import write_table
 from xvamild.mildsolver import (
     _STATE_BUDGET,
@@ -589,6 +590,34 @@ def test_shared_draw_runs_once_per_chunk_under_thread_contention():
     assert [task for task, _ in out] == tasks
     assert all(np.array_equal(z, np.full(3, task[0])) for task, z in out)
     assert sorted(drawn) == list(range(40))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_each_chunk_is_drawn_once_per_sweep(monkeypatch, threads):
+    spec, model, u = multi_chunk_problem()
+    draws = []  # one list of drawn chunks per _sweep_slices call
+    real_shared = mildsolver._shared
+
+    def counting(draw, users):
+        drawn = []
+        draws.append(drawn)
+
+        def counted(chunk):
+            drawn.append(chunk[0])
+            return draw(chunk)
+
+        return real_shared(counted, users)
+
+    monkeypatch.setattr(mildsolver, "_shared", counting)
+    mc = McConfig(n_paths=9600, n_steps=6, master_seed=4, threads=threads)
+    n_nodes = len(u.x_nodes) * len(u.v_nodes)
+    apply_mild_map(spec, model, u, u.t_nodes, u.x_nodes, u.v_nodes, mc)
+    refine_point(spec, model, u, (0.0, X0, 0.04), mc, 8500)
+    assert len(u.t_nodes) - 1 >= 3  # several slices share each draw
+    assert [sorted(d) for d in draws] == [
+        list(range(math.ceil(9600 / min(_CHUNK, _STATE_BUDGET // n_nodes)))),
+        list(range(math.ceil(8500 / _CHUNK))),
+    ]
 
 
 def test_single_chunk_sweeps_are_bit_identical_across_thread_counts():

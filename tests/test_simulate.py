@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from xvamild import simulate
 from xvamild.simulate import (
+    _CHUNK,
     InvalidPathBudgetError,
     PathSet,
     TimeGrid,
@@ -100,6 +102,31 @@ def test_path_increments_reproduce_the_engine():
             )
         assert x == pytest.approx(ps.x[i, -1], rel=1e-12)
         assert v == pytest.approx(ps.v[i, -1], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 77, 2**32 - 1, 2**32, 2**64 + 5])
+def test_engine_streams_match_list_seeding_bit_for_bit(monkeypatch, seed):
+    # the engine seeds from uint32 words; path_increments from [seed, path_id]
+    grid = TimeGrid(0.0, 0.5, 3)
+    filled = {}
+    real_fill = simulate._fill_noise
+
+    def keep(out, master_seed, lo):
+        real_fill(out, master_seed, lo)
+        filled[lo] = out  # run_chunk scales it in place into the increments
+
+    monkeypatch.setattr(simulate, "_fill_noise", keep)
+    simulate_paths(bs_model(), (X0, 0.04), grid, _CHUNK + 2, master_seed=seed, threads=2)
+    assert sorted(filled) == [0, _CHUNK]
+    for path_id in (0, 1, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+        z = filled[path_id // _CHUNK * _CHUNK][path_id % _CHUNK]
+        dw, dwt = path_increments(grid, seed, path_id)
+        assert np.array_equal(z[:, 0], dw) and np.array_equal(z[:, 1], dwt)
+    top = np.empty((3, grid.n_steps, 2))
+    real_fill(top, seed, 2**32 - 3)  # the largest path ids one uint32 word holds
+    for j in range(3):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 2**32 - 3 + j]))
+        assert np.array_equal(top[j], rng.standard_normal((grid.n_steps, 2)))
 
 
 def test_exact_price_matches_exp_x():

@@ -36,6 +36,7 @@ from xvamild.valuation import (
 from xvamild.volmodel import (
     InvariantError,
     PowerParams,
+    as_time_fn,
     black_scholes_params,
     build_power_model,
     measure_change,
@@ -307,6 +308,21 @@ def test_discount_flow_property():
     assert discount(rate, 0.5, 0.5) == 1.0
     exact = math.exp(-(0.02 * 1.3 + 0.005 * 1.3**2))
     assert discount(rate, 0.0, 1.3) == pytest.approx(exact, rel=1e-12)
+
+
+CONSTANT_RATES = (0.0, 0.01, 0.03, 0.05, -0.02, 0.25, 1, 0)
+INTERVALS = ((0.0, 0.5), (0.0, 1.0), (0.2, 0.7), (0.25, 1.3), (1.0, 5.0), (0.0, 10.0))
+
+
+@pytest.mark.parametrize("rate", CONSTANT_RATES)
+def test_discount_of_a_constant_rate_is_the_closed_form(rate):
+    for s, t in INTERVALS:
+        got = discount(rate, s, t)
+        assert got == math.exp(-rate * (t - s))
+        val, _ = integrate.quad(as_time_fn(rate), s, t, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(got - math.exp(-val)) <= 1e-15 * math.exp(-val)
+        assert discount(rate, t, s) == 1.0
+        assert discount(rate, s, s) == 1.0
 
 
 def test_discount_nodes_matches_pointwise():
