@@ -17,11 +17,13 @@ time slices stay meaningful.  Everything a sweep needs that depends on
 time alone (the Euler step table, the driver's rates, fractions and
 survival slopes, and the chunk layout) is tabulated once per sweep on
 the master nodes; the driver runs when an iterate is given.  Every sweep
-cuts each chunk into one block of grid nodes per thread and hands the
-(chunk, node block) tasks to the package's one executor,
-``simulate._map_chunks`` (threads when mc.threads > 1).  Each node's sums
-reduce along its own row, the blocks are put back in node order and the
-chunks summed in chunk order, so the thread count never changes a bit.
+cuts each chunk into blocks of grid nodes, one per thread when
+mc.threads > 1 and at one thread enough that a block holds at most
+``_BLOCK_CAP`` node-paths, so its state arrays stay in cache, and hands
+the (chunk, node block) tasks to the package's one executor,
+``simulate._map_chunks``.  Each node's sums reduce along its own row, the
+blocks are put back in node order and the chunks summed in chunk order,
+so neither the blocks nor the thread count change a bit.
 When the driver's value-Lipschitz budget over the horizon exceeds 1/2
 the horizon is split into slabs solved backwards, each slab taking the
 next one's first plane as its terminal condition.
@@ -47,10 +49,11 @@ from .gridfn import (  # re-exported: the solver's output container
 )
 from .simulate import _CHUNK, TimeGrid, _euler_step, _map_chunks, _step_table, simulate_paths
 from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lipschitz
-from .volmodel import InvariantError, VolModel, on_times
+from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
 _BUDGET_CAP = 0.5  # per-slab integrated Lipschitz bound
 _STATE_BUDGET = 500_000  # floats per (nodes x chunk) working set
+_BLOCK_CAP = 24_000  # node-paths per node block at one thread, so a block's arrays sit in L2
 
 
 @dataclass(frozen=True)
@@ -143,12 +146,15 @@ def _sweep_slices(
     consumes the same numbers no matter where the slice begins.
 
     One ``simulate._map_chunks`` call runs (chunk, node block) tasks in
-    chunk-major order, with ``_node_blocks`` cutting each chunk into one
-    block per thread; each task sweeps every slice with m_start < m_end in
-    order.  A chunk's normals are drawn once per call and shared by its
-    blocks.  Each node's sums reduce along its own row, so concatenating
-    the block sums in block order and adding the chunks in chunk order
-    gives, slice by slice, the same bits at any thread count.
+    chunk-major order.  ``_node_blocks`` cuts each chunk into one block
+    per thread when mc.threads > 1, and at one thread into
+    ceil(nodes x paths / ``_BLOCK_CAP``) blocks, paths counted in the
+    first chunk.  Each task allocates its state and Euler work arrays once
+    and sweeps every slice with m_start < m_end in order through them.  A
+    chunk's normals are drawn once per call and shared by its blocks.
+    Each node's sums reduce along its own row, so concatenating the block
+    sums in block order and adding the chunks in chunk order gives, slice
+    by slice, the same bits at any thread count and block size.
     """
     nodes = master.nodes
     dt = master.dt
@@ -158,7 +164,8 @@ def _sweep_slices(
     terms = None if u_prev is None else np.stack(_driver_rates(spec, nodes[: m_end + 1]))
     size = max(128, min(_CHUNK, _STATE_BUDGET // max(n_nodes, 1)))
     chunks = [(c, min(size, mc.n_paths - lo)) for c, lo in enumerate(range(0, mc.n_paths, size))]
-    blocks = _node_blocks(n_nodes, mc.threads)
+    n_blocks = mc.threads if mc.threads > 1 else -(-n_nodes * chunks[0][1] // _BLOCK_CAP)
+    blocks = _node_blocks(n_nodes, n_blocks)
     tasks = [(c, lo, hi) for c in chunks for lo, hi in blocks]
 
     def draw(chunk):
@@ -168,11 +175,19 @@ def _sweep_slices(
         )
         return rng.standard_normal((m_end, n_c, 2)) * sq_dt
 
-    def run_block(m_start: int, z: np.ndarray, lo: int, hi: int):
-        n_c = z.shape[1]
-        x = np.tile(x_flat[lo:hi, None], (1, n_c))
-        v = np.tile(v_flat[lo:hi, None], (1, n_c))
-        integral = np.zeros((hi - lo, n_c))
+    def trapezoid(prev_rate, rate, integral):
+        # integral += 0.5 * (prev_rate + rate) * dt, rounded alike, in prev_rate's buffer
+        prev_rate += rate
+        prev_rate *= 0.5
+        prev_rate *= dt
+        integral += prev_rate
+
+    def run_block(m_start: int, z: np.ndarray, lo: int, hi: int, planes: np.ndarray):
+        # planes: x, v, the integral and the step's work, reused slice after slice
+        x, v, integral, work = planes[0], planes[1], planes[2], planes[3:]
+        x[...] = x_flat[lo:hi, None]
+        v[...] = v_flat[lo:hi, None]
+        integral.fill(0.0)
         prev_rate = None
         outside = 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -183,14 +198,15 @@ def _sweep_slices(
                     y = u_prev.evaluate_at_time(t, x, v)
                     rate = _driver_at(spec, terms[:, k], t, np.exp(x), v, y)
                     if prev_rate is not None:
-                        integral += 0.5 * (prev_rate + rate) * dt
+                        trapezoid(prev_rate, rate, integral)
                     prev_rate = rate
-                x, v = _euler_step(model, steps, k, t, x, v, dt, z[k, :, 0], z[k, :, 1])
+                _euler_step(model, steps, k, t, x, v, dt, z[k, :, 0], z[k, :, 1], work)
         est = np.asarray(payoff(np.exp(x), v), dtype=float)
         if u_prev is not None:
             rate_end = _driver_at(spec, terms[:, m_end], nodes[m_end], np.exp(x), v, est)
-            integral += 0.5 * (prev_rate + rate_end) * dt
-            est = est + integral
+            trapezoid(prev_rate, rate_end, integral)
+            integral += est
+            est = integral
         if not np.all(np.isfinite(est)):
             raise CoverageError(
                 "non-finite Monte Carlo estimate; the model explodes on this grid"
@@ -210,8 +226,10 @@ def _sweep_slices(
     normals = _shared(draw, nb)
 
     def run_task(task):
+        (_, n_c), lo, hi = task
         z = normals(task[0])
-        return [run_block(starts[i], z, *task[1:]) for i in swept]
+        planes = np.empty((3 + WORK_PLANES, hi - lo, n_c))
+        return [run_block(starts[i], z, lo, hi, planes) for i in swept]
 
     parts = _map_chunks(run_task, tasks, mc.threads) if swept else []
     per_chunk = [parts[j : j + nb] for j in range(0, len(parts), nb)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .volmodel import InvariantError, VolModel, on_times
+from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
 _CHUNK = 4096  # paths per work unit here; the cap on paths per noise stream in the mild-map sweep
 _INVALID_BUDGET = 1e-3
@@ -152,15 +152,31 @@ def _step_table(model: VolModel, times):
     return bs, rhos, np.sqrt(1.0 - rhos**2)
 
 
-def _euler_step(model: VolModel, table, k: int, t: float, x, v, dt: float, dw, dwt):
-    """One Euler step of (X, V) from time t with row k of the step table."""
+def _euler_step(model: VolModel, table, k: int, t: float, x, v, dt: float, dw, dwt, work) -> None:
+    """One Euler step of the float arrays (x, v), in place, from time t with
+    row k of the step table.
+
+    The coefficients come from the model's joint route when it has one,
+    else from its three callables.  work holds ``WORK_PLANES`` planes of
+    x's shape; the joint route fills work[0:3], and work[3] and work[4]
+    carry the increments, so a step allocates no plane.  Each update adds
+    its terms in the order of x + drift * dt + diffusion.
+    """
     b, rho, c_w = table[0][k], table[1][k], table[2][k]
-    theta = model.vol_of_price(t, v)
-    zeta = model.drift_v(t, v)
-    eta = model.vol_of_v(t, v)
-    x = x + (b - 0.5 * theta * theta) * dt + theta * (c_w * dw + rho * dwt)
-    v = v + zeta * dt + eta * dwt
-    return x, v
+    if model.coefficients is None:
+        theta, zeta, eta = model.vol_of_price(t, v), model.drift_v(t, v), model.vol_of_v(t, v)
+    else:
+        theta, zeta, eta = model.coefficients(t, v, work)
+    dv, inc = work[3], work[4]
+    np.multiply(eta, dwt, out=dv)  # before v moves: a custom eta may be v itself
+    np.multiply(0.5, theta, out=inc)
+    inc *= theta
+    np.subtract(b, inc, out=inc)
+    inc *= dt
+    x += inc
+    x += np.multiply(theta, c_w * dw + rho * dwt, out=inc)
+    v += np.multiply(zeta, dt, out=inc)
+    v += dv
 
 
 def simulate_paths(
@@ -199,11 +215,12 @@ def simulate_paths(
         z *= math.sqrt(dt)
         x = np.full(hi - lo, x0)
         v = np.full(hi - lo, v0)
+        work = np.empty((WORK_PLANES, hi - lo))
         xs[lo:hi, 0] = x
         vs[lo:hi, 0] = v
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(grid.n_steps):
-                x, v = _euler_step(model, table, k, nodes[k], x, v, dt, z[:, k, 0], z[:, k, 1])
+                _euler_step(model, table, k, nodes[k], x, v, dt, z[:, k, 0], z[:, k, 1], work)
                 xs[lo:hi, k + 1] = x
                 vs[lo:hi, k + 1] = v
 

@@ -10,6 +10,16 @@ where X is the log price and V the variance factor.  Coefficients must be
 defined on all of R in the v argument; the power family below extends its
 coefficients radially (|v| inside theta and eta, v clamped at zero inside
 zeta), so the Euler stepper never needs to truncate the state.
+
+A power-family model also carries ``coefficients``, one joint route that
+forms |v|, sqrt(|v|) and max(v, 0) once and returns (theta, zeta, eta) with
+every term in the order the three callables use, so the Euler step gets
+the same bits from one pass.  It writes into ``WORK_PLANES`` planes that
+the caller allocates once per block of paths, so a step allocates no
+array of the state's size.  The route is not a constructor field:
+``dataclasses.replace`` drops it, so a model whose coefficients were
+replaced, like a custom ``VolModel``, steps through its three callables.
+:func:`measure_change` keeps it only when the vol-of-vol premium is zero.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 TimeFn = Callable[[float], float]
+WORK_PLANES = 5  # planes of the state's shape that a joint coefficient route may write
 
 
 class InvariantError(ValueError):
@@ -73,6 +84,10 @@ class VolModel:
     ``drift_envelope`` (k, l) bounds sgn(v) * zeta(t, v) <= k(t) + l(t)|v|;
     ``theta_envelope`` (k, lam) bounds |theta(t, v)| <= k(t) + lam(t)
     sqrt(v+).  Either may be None when no envelope is known.
+    ``coefficients`` is the joint route (t, v, work) -> (theta, zeta, eta)
+    or None, with work a float array of ``WORK_PLANES`` planes of v's shape;
+    the results are work[0:3] and the other planes are scratch.  It is set
+    after construction and never copied by ``replace``.
     """
 
     drift_b: TimeFn
@@ -84,6 +99,7 @@ class VolModel:
     theta_vanishes_at_zero: bool = False
     drift_envelope: Optional[tuple] = None
     theta_envelope: Optional[tuple] = None
+    coefficients: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def theta_hat(self, t, v):
         """vol_of_price evaluated at the positive part of v."""
@@ -187,8 +203,24 @@ def build_power_model(params: PowerParams, horizon: float = 1.0) -> VolModel:
     def theta(t, v):
         return theta0(t) + theta1(t) * np.sqrt(np.abs(v))
 
+    def coefficients(t, v, work):
+        # theta, zeta and eta above, term for term, into work[0:3]; |v|, then
+        # v+, in work[3], and a product in work[4].  numpy takes a float array
+        # to the power 0.5 by sqrt, so theta's plane holds sqrt(|v|) for both.
+        theta, zeta, eta, part, term = work
+        np.sqrt(np.abs(v, out=part), out=theta)
+        eta.fill(0.0)
+        for li, b in zip(lams, betas):
+            eta += np.multiply(li(t), theta if b == 0.5 else part**b, out=term)
+        np.maximum(v, 0.0, out=part)
+        np.subtract(k(t), np.multiply(l0(t), part, out=zeta), out=zeta)
+        for li, a in zip(ls, alphas):
+            zeta += np.multiply(li(t), part**a, out=term)
+        np.add(theta0(t), np.multiply(theta1(t), theta, out=theta), out=theta)
+        return theta, zeta, eta
+
     vanishes = sampled_sup(theta0, horizon) == 0.0
-    return VolModel(
+    model = VolModel(
         drift_b=as_time_fn(params.drift_b),
         vol_of_price=theta,
         drift_v=zeta,
@@ -199,6 +231,8 @@ def build_power_model(params: PowerParams, horizon: float = 1.0) -> VolModel:
         drift_envelope=(k, lambda t: -l0(t)),
         theta_envelope=(lambda t: abs(theta0(t)), lambda t: abs(theta1(t))),
     )
+    model.coefficients = coefficients
+    return model
 
 
 def black_scholes_params(drift_b=0.0) -> PowerParams:
@@ -272,18 +306,31 @@ def measure_change(model: VolModel, rate, gamma, horizon: float = 1.0) -> VolMod
 
     base_zeta = model.drift_v
 
-    def zeta_q(t, v):
-        out = base_zeta(t, v)
+    def premium(t, v, zeta):
         g = gamma_fn(t)
         if g != 0.0:
-            out = out - g * model.eta_hat(t, v) * model.theta_hat(t, v)
-        return out
+            zeta = zeta - g * model.eta_hat(t, v) * model.theta_hat(t, v)
+        return zeta
+
+    def zeta_q(t, v):
+        return premium(t, v, base_zeta(t, v))
 
     # The drift envelope does not survive a nonzero premium in general.
     envelope = model.drift_envelope if gamma_sup == 0.0 else None
-    return replace(
+    changed = replace(
         model,
         drift_b=rate_fn,
         drift_v=zeta_q,
         drift_envelope=envelope,
     )
+    joint = model.coefficients
+    if joint is not None and gamma_sup == 0.0:
+        # premium() still reads gamma at every step, so a premium between the
+        # sampled times reaches this route too
+
+        def coefficients_q(t, v, work):
+            theta, zeta, eta = joint(t, v, work)
+            return theta, premium(t, v, zeta), eta
+
+        changed.coefficients = coefficients_q
+    return changed

@@ -12,8 +12,10 @@ from xvamild import mildsolver
 from xvamild.gridfn import write_table
 from xvamild.mildsolver import (
     _STATE_BUDGET,
+    _BLOCK_CAP,
     _node_blocks,
     _shared,
+    _sweep_slices,
     GridFunction,
     McConfig,
     apply_mild_map,
@@ -647,3 +649,29 @@ def test_single_chunk_sweeps_are_bit_identical_across_thread_counts():
         assert np.array_equal(run[5], runs[0][5])
         assert run[6] == runs[0][6]
         assert run[7] == runs[0][7]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_node_blocked_sweep_matches_single_node_sweeps(threads):
+    # one node is one block at any thread count and gets the same chunk, so the
+    # same stream: the single-node sweeps are a reference independent of blocking
+    spec, model, u = multi_chunk_problem()
+    x = np.linspace(X0 - 0.3, X0 + 0.3, 7)
+    v = np.linspace(0.02, 0.2, 5)
+    xs, vs = (a.ravel() for a in np.meshgrid(x, v, indexing="ij"))
+    mc = McConfig(n_paths=1500, n_steps=6, master_seed=4, threads=threads)
+    assert mc.n_paths <= min(_CHUNK, _STATE_BUDGET // xs.size)  # one chunk
+    assert xs.size * mc.n_paths > 2 * _BLOCK_CAP  # three node blocks at one thread
+    master = TimeGrid(0.0, 0.5, mc.n_steps)
+    starts = [0, 2, 4, 6]
+    for u_prev in (u, None):
+        mean, err, cov = _sweep_slices(spec, model, u_prev, master, starts, 6, xs, vs,
+                                       spec.payoff, mc, 0)
+        n_out = 0.0
+        for j in range(xs.size):
+            mean_j, err_j, cov_j = _sweep_slices(spec, model, u_prev, master, starts, 6,
+                                                 xs[j : j + 1], vs[j : j + 1], spec.payoff, mc, 0)
+            assert mean[:, j].tobytes() == mean_j[:, 0].tobytes()
+            assert err[:, j].tobytes() == err_j[:, 0].tobytes()
+            n_out += cov_j
+        assert cov == pytest.approx(n_out / xs.size, rel=1e-12, abs=0.0)

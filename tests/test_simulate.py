@@ -18,12 +18,15 @@ from xvamild.simulate import (
     simulate_paths,
 )
 from xvamild.volmodel import (
+    WORK_PLANES,
     InvariantError,
+    PowerParams,
     VolModel,
     black_scholes_params,
     build_power_model,
     garch_params,
     heston_params,
+    measure_change,
 )
 
 X0 = math.log(100.0)
@@ -249,3 +252,105 @@ def test_start_state_validation():
         simulate_paths(bs_model(), (math.nan, 0.04), TimeGrid(0.0, 1.0, 5), 10, 1)
     with pytest.raises(InvariantError, match="master_seed"):
         simulate_paths(bs_model(), (0.0, 0.04), TimeGrid(0.0, 1.0, 5), 10, -4)
+
+
+# -- the power family's joint coefficient route ------------------------------------
+
+STEP_PARAMS = {
+    "heston": heston_params(k=0.05, l0=1.0, lam=0.3, rho=-0.5, drift_b=0.02),
+    "garch": garch_params(k=0.04, l0=0.8, lam=0.5, rho=0.3),
+    "black_scholes": black_scholes_params(drift_b=0.01),
+    # a negative lam makes eta -0.0 at v = 0 unless its sum starts from +0.0
+    "negative_lam": PowerParams(k=0.04, l0=0.5, lam=(-0.3,), beta=(0.5,), rho=0.2),
+    "two_terms": PowerParams(
+        k=lambda t: 0.05 + 0.02 * t, l0=0.7, l=(-0.3, lambda t: -0.1 - 0.05 * t),
+        alpha=(1.0, 1.5), lam=(0.3, lambda t: 0.1 + 0.2 * t), beta=(0.5, 0.75),
+        theta0=0.01, theta1=lambda t: 1.0 + 0.5 * t, drift_b=0.02, rho=-0.4,
+    ),
+}
+
+# negatives, both zeros, subnormals, the largest floats, infinities and NaN
+V_EDGE = np.array([
+    -1.0, -0.04, -0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, 0.04, 0.25,
+    3.0, 1e154, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan,
+])
+
+
+def step_states(seed=5):
+    rng = np.random.default_rng(seed)
+    v = np.stack([V_EDGE, np.abs(rng.standard_normal(V_EDGE.size)) * 0.05,
+                  rng.standard_normal(V_EDGE.size) * 0.05])
+    x = X0 + 0.1 * rng.standard_normal(v.shape)
+    dw, dwt = (rng.standard_normal(V_EDGE.size) * 0.1 for _ in range(2))
+    return x, v, dw, dwt
+
+
+def reference_step(model, table, k, t, x, v, dt, dw, dwt):
+    """The Euler step through the three callables, as one expression per state."""
+    b, rho, c_w = table[0][k], table[1][k], table[2][k]
+    theta, zeta, eta = model.vol_of_price(t, v), model.drift_v(t, v), model.vol_of_v(t, v)
+    return (x + (b - 0.5 * theta * theta) * dt + theta * (c_w * dw + rho * dwt),
+            v + zeta * dt + eta * dwt)
+
+
+def stepped(model, t_steps, dt=0.01):
+    """Each step of _euler_step from the same states, at each time, as bytes."""
+    x0, v0, dw, dwt = step_states()
+    table = simulate._step_table(model, t_steps)
+    work = np.empty((WORK_PLANES,) + x0.shape)
+    out, ref = [], []
+    with np.errstate(all="ignore"):
+        for k, t in enumerate(t_steps):
+            x, v = x0.copy(), v0.copy()
+            simulate._euler_step(model, table, k, t, x, v, dt, dw, dwt, work)
+            out.append(x.tobytes() + v.tobytes())
+            xr, vr = reference_step(model, table, k, t, x0, v0, dt, dw, dwt)
+            ref.append(xr.tobytes() + vr.tobytes())
+    return out, ref
+
+
+T_STEPS = np.array([0.0, 0.1875, 0.5, 0.9])
+
+
+@pytest.mark.parametrize("name", sorted(STEP_PARAMS))
+@pytest.mark.parametrize("pricing", [False, True])
+def test_joint_coefficients_step_bit_for_bit_like_the_callables(name, pricing):
+    model = build_power_model(STEP_PARAMS[name], horizon=1.0)
+    if pricing:
+        model = measure_change(model, 0.03, 0.0, horizon=1.0)
+    assert model.coefficients is not None
+    out, ref = stepped(model, T_STEPS)
+    assert out == ref
+    _, v, _, _ = step_states()
+    work = np.empty((WORK_PLANES,) + v.shape)
+    with np.errstate(all="ignore"):
+        for t in T_STEPS:
+            calls = (model.vol_of_price(t, v), model.drift_v(t, v), model.vol_of_v(t, v))
+            for got, want in zip(model.coefficients(t, v, work), calls):
+                assert got.tobytes() == want.tobytes()
+    generic = dataclasses.replace(model)  # replace drops the joint route
+    assert generic.coefficients is None
+    assert stepped(generic, T_STEPS)[0] == ref
+
+
+def test_a_premium_between_the_sampled_times_reaches_the_joint_route():
+    model = build_power_model(STEP_PARAMS["heston"], horizon=1.0)
+    late = measure_change(model, 0.03, lambda t: np.where(np.asarray(t) > 0.5, 0.4, 0.0),
+                          horizon=0.5)
+    assert late.coefficients is not None  # gamma is zero on the sampled [0, 0.5]
+    out, ref = stepped(late, T_STEPS)
+    assert out == ref
+    plain = measure_change(model, 0.03, 0.0, horizon=0.5)
+    assert out[-1] != stepped(plain, T_STEPS)[0][-1]  # the premium acts at t = 0.9
+
+
+def test_a_premium_or_a_replaced_coefficient_steps_through_the_callables():
+    model = measure_change(build_power_model(STEP_PARAMS["heston"]), 0.03, 0.0)
+    joint_out = stepped(model, T_STEPS)[0]
+    premium = measure_change(build_power_model(STEP_PARAMS["heston"]), 0.03, 0.2)
+    flat = dataclasses.replace(model, vol_of_price=lambda t, v: 0.25 + 0.0 * np.abs(v))
+    for other in (premium, flat):
+        assert other.coefficients is None
+        out, ref = stepped(other, T_STEPS)
+        assert out == ref
+        assert all(a != b for a, b in zip(out, joint_out))
