@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -144,21 +145,7 @@ def cmd_simulate(args) -> int:
 
     path_rep = positivity_report(paths)
     feller = check_positivity(setup.params, horizon=setup.t_end)
-    out.write_json("positivity.json", {
-        "paths": {
-            "min_v": path_rep.min_v,
-            "frac_nonpositive": path_rep.frac_nonpositive,
-            "n_paths": path_rep.n_paths,
-            "n_steps": path_rep.n_steps,
-        },
-        "condition": {
-            "holds": feller.holds,
-            "gamma_star": feller.gamma_star,
-            "lhs": feller.lhs,
-            "rhs": feller.rhs,
-            "detail": feller.detail,
-        },
-    })
+    out.write_json("positivity.json", {"paths": asdict(path_rep), "condition": asdict(feller)})
     out.write_text("config.normalised.json", emit_config(setup.cfg))
     out.finish_manifest("simulate", args.config, setup.cfg,
                         setup.master_seed, threads, started)
@@ -341,7 +328,7 @@ def cmd_verify(args) -> int:
     for res in results:
         flag = "PASS" if res.ok else "FAIL"
         print(f"[{flag}] {res.name} ({res.seconds:.1f}s): {res.detail}")
-    out.write_json("verify.json", [r.to_dict() for r in results])
+    out.write_json("verify.json", [asdict(r) for r in results])
     out.write_text("config.normalised.json", emit_config(setup.cfg))
     out.finish_manifest("verify", args.config, setup.cfg,
                         setup.master_seed, threads, started)

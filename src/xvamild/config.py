@@ -8,6 +8,11 @@ instead of silently running with a default.  ``normalise_config`` fills
 optional fields and rewrites the config into a canonical form that is a
 fixed point of itself: load -> normalise -> emit -> load -> normalise
 reproduces the same dictionary byte for byte.
+
+Each section, and each model preset, dividend, hedge and payoff kind, is
+one table of (key, default, check) fields; a kind's entry also holds the
+function that builds it.  ``normalise_config`` and ``build_run`` walk
+those tables.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,8 +46,6 @@ from .volmodel import (
     measure_change,
     on_times,
 )
-
-_PRESETS = ("black_scholes", "heston", "garch", "custom")
 
 
 class ConfigError(ValueError):
@@ -138,116 +142,116 @@ def _timefn_build(norm):
     return fn
 
 
-# -- section normalisers ----------------------------------------------------------
+# -- the schema walker ------------------------------------------------------------
+
+_REQUIRED = object()  # a field default: an absent key is a violation
 
 
-def _norm_model(raw) -> dict:
-    obj = _obj(raw, "model")
-    preset = obj.get("preset")
-    if preset not in _PRESETS:
-        raise ConfigError("model.preset", f"expected one of {list(_PRESETS)}")
-    out = {
-        "preset": preset,
-        "s0": _num(obj.get("s0", None), "model.s0", lo=0.0, lo_strict=True),
-        "drift_b": _timefn_cfg(obj.get("drift_b", 0.0), "model.drift_b"),
-    }
-    if preset == "black_scholes":
-        _reject_unknown(obj, "model", {"preset", "s0", "drift_b", "sigma", "v0"})
-        sigma = obj.get("sigma")
-        v0 = obj.get("v0")
-        if sigma is None and v0 is None:
-            raise ConfigError("model.sigma", "black_scholes needs sigma or v0")
-        if sigma is not None:
-            sigma = _num(sigma, "model.sigma", lo=0.0, lo_strict=True)
-        if v0 is not None:
-            v0 = _num(v0, "model.v0", lo=0.0, lo_strict=True)
-        if sigma is None:
-            sigma = math.sqrt(v0)
-        if v0 is None:
-            v0 = sigma * sigma
-        if abs(v0 - sigma * sigma) > 1e-12 * max(1.0, v0):
-            raise ConfigError("model.v0", f"inconsistent with sigma^2 = {sigma * sigma}")
-        out["sigma"] = sigma
-        out["v0"] = v0
-    elif preset in ("heston", "garch"):
-        _reject_unknown(
-            obj, "model", {"preset", "s0", "drift_b", "v0", "k", "l0", "lam", "rho"}
-        )
-        for key, lo in (("k", 0.0), ("l0", 0.0), ("lam", None)):
-            if key not in obj:
-                raise ConfigError(f"model.{key}", f"required for preset {preset!r}")
-            out[key] = _timefn_cfg(obj[key], f"model.{key}", lo=lo)
-        out["rho"] = _num(obj.get("rho", 0.0), "model.rho", lo=-1.0, hi=1.0)
-        if abs(out["rho"]) >= 1.0:
-            raise ConfigError("model.rho", "must lie strictly inside (-1, 1)")
-        out["v0"] = _num(obj.get("v0", None), "model.v0", lo=0.0)
-    else:
-        _reject_unknown(obj, "model", {"preset", "s0", "drift_b", "v0", "params"})
-        out["v0"] = _num(obj.get("v0", None), "model.v0", lo=0.0)
-        p = _obj(obj.get("params", None), "model.params")
-        _reject_unknown(
-            p, "model.params",
-            {"k", "l0", "l", "alpha", "lam", "beta", "theta0", "theta1", "rho"},
-        )
-        cp = {
-            "k": _timefn_cfg(p.get("k", 0.0), "model.params.k", lo=0.0),
-            "l0": _timefn_cfg(p.get("l0", 0.0), "model.params.l0", lo=0.0),
-            "theta0": _timefn_cfg(p.get("theta0", 0.0), "model.params.theta0"),
-            "theta1": _timefn_cfg(p.get("theta1", 0.0), "model.params.theta1"),
-            "rho": _timefn_cfg(p.get("rho", 0.0), "model.params.rho"),
-        }
-        for key in ("l", "lam"):
-            vals = p.get(key, [])
-            if not isinstance(vals, list):
-                raise ConfigError(f"model.params.{key}", "expected an array")
-            cp[key] = [
-                _timefn_cfg(v, f"model.params.{key}[{i}]") for i, v in enumerate(vals)
-            ]
-        for key in ("alpha", "beta"):
-            vals = p.get(key, [])
-            if not isinstance(vals, list):
-                raise ConfigError(f"model.params.{key}", "expected an array")
-            cp[key] = [_num(v, f"model.params.{key}[{i}]") for i, v in enumerate(vals)]
-        if len(cp["l"]) != len(cp["alpha"]):
-            raise ConfigError("model.params.alpha", "must pair one exponent per l term")
-        if len(cp["lam"]) != len(cp["beta"]):
-            raise ConfigError("model.params.beta", "must pair one exponent per lam term")
-        out["params"] = cp
+def _fields(obj: dict, path: str, fields, required: str = "required") -> dict:
+    """Check ``fields`` of obj in table order and return their canonical form.
+
+    A field is (key, default, check): an absent key takes the default, then
+    ``check(value, field_path)`` validates it.  A callable in the table is a
+    cross-field rule; it runs where it stands, on the fields checked so far.
+    """
+    out = {}
+    for field in fields:
+        if callable(field):
+            field(out, path)
+            continue
+        key, default, check = field
+        val = obj.get(key, default)
+        if val is _REQUIRED:
+            raise ConfigError(f"{path}.{key}", required)
+        out[key] = check(val, f"{path}.{key}")
     return out
 
 
-_RATE_KEYS = (
-    "collateral_rate_pos",
-    "collateral_rate_neg",
-    "funding_rate_pos",
-    "funding_rate_neg",
-    "hedge_rate_pos",
-    "hedge_rate_neg",
-)
-
-_MARKET_KEYS = {
-    "rate", *_RATE_KEYS, "collateral_frac", "closeout_frac",
-    "lgd_investor", "lgd_counterparty", "own_default_funding",
-    "dividend", "hedge", "payoff",
-}
+def _keys(fields) -> list:
+    return [field[0] for field in fields if not callable(field)]
 
 
-def _norm_market(raw, t_lo: float, t_hi: float) -> dict:
-    obj = _obj(raw, "market")
-    _reject_unknown(obj, "market", _MARKET_KEYS)
-    if "rate" not in obj:
-        raise ConfigError("market.rate", "required")
-    out = {"rate": _timefn_cfg(obj["rate"], "market.rate")}
-    for key in _RATE_KEYS:
-        # absent spread rates default to the risk-free rate, not to zero
-        out[key] = _timefn_cfg(obj.get(key, obj["rate"]), f"market.{key}")
-    out["collateral_frac"] = _timefn_cfg(
-        obj.get("collateral_frac", 0.0), "market.collateral_frac", lo=0.0
-    )
-    out["closeout_frac"] = _timefn_cfg(
-        obj.get("closeout_frac", 1.0), "market.closeout_frac", lo=0.0
-    )
-    ts = np.linspace(t_lo, t_hi, 257)
+def _section(raw, path: str, fields) -> dict:
+    """An object holding the table's fields and nothing else."""
+    obj = _obj(raw, path)
+    _reject_unknown(obj, path, _keys(fields))
+    return _fields(obj, path, fields)
+
+
+class _Kind(NamedTuple):
+    """One kind of a kind-switched object: its fields and how to build it."""
+
+    fields: object  # a field table, or a normaliser of the whole object
+    build: Callable  # canonical form -> the object a run uses
+    band: Optional[Callable] = None  # payoffs: canonical form -> value band (lo, hi) or None
+
+
+def _kinded(raw, path: str, table: dict, tag: str = "kind", common=(), expected=None) -> dict:
+    """An object whose ``tag`` names a kind of ``table``; the ``common`` fields
+    every kind shares are checked before unknown keys are rejected."""
+    obj = _obj(raw, path)
+    kind = obj.get(tag)
+    if kind not in list(table):  # list membership: a JSON array or object is not hashable
+        *rest, last = map(repr, table)
+        raise ConfigError(f"{path}.{tag}", expected or f"expected {', '.join(rest)} or {last}")
+    fields = table[kind].fields
+    if callable(fields):
+        return fields(obj, path)
+    out = {tag: kind, **_fields(obj, path, common)}
+    _reject_unknown(obj, path, {tag, *_keys(common), *_keys(fields)})
+    out.update(_fields(obj, path, fields, required=f"required for {tag} {kind!r}"))
+    return out
+
+
+# -- checks and cross-field rules ---------------------------------------------------
+
+
+def _optional(val, path: str, check):
+    return None if val is None else check(val, path)
+
+
+def _array_of(val, path: str, check) -> list:
+    if not isinstance(val, list):
+        raise ConfigError(path, "expected an array")
+    return [check(v, f"{path}[{i}]") for i, v in enumerate(val)]
+
+
+_POSITIVE = partial(_num, lo=0.0, lo_strict=True)
+_OPTIONAL_POSITIVE = partial(_optional, check=_POSITIVE)
+_NON_NEGATIVE = partial(_num, lo=0.0)
+_FRACTION = partial(_num, lo=0.0, hi=1.0)
+_TIMEFN_NON_NEGATIVE = partial(_timefn_cfg, lo=0.0)
+
+
+def _correlation(val, path: str) -> float:
+    rho = _num(val, path, lo=-1.0, hi=1.0)
+    if abs(rho) >= 1.0:
+        raise ConfigError(path, "must lie strictly inside (-1, 1)")
+    return rho
+
+
+def _sigma_or_v0(out: dict, path: str) -> None:
+    sigma, v0 = out["sigma"], out["v0"]
+    if sigma is None and v0 is None:
+        raise ConfigError(f"{path}.sigma", "black_scholes needs sigma or v0")
+    if sigma is None:
+        sigma = math.sqrt(v0)
+    if v0 is None:
+        v0 = sigma * sigma
+    if abs(v0 - sigma * sigma) > 1e-12 * max(1.0, v0):
+        raise ConfigError(f"{path}.v0", f"inconsistent with sigma^2 = {sigma * sigma}")
+    out.update(sigma=sigma, v0=v0)
+
+
+def _paired(terms: str, powers: str):
+    def rule(out: dict, path: str) -> None:
+        if len(out[terms]) != len(out[powers]):
+            raise ConfigError(f"{path}.{powers}", f"must pair one exponent per {terms} term")
+
+    return rule
+
+
+def _fractions_ordered(out: dict, path: str, ts: np.ndarray) -> None:
     a = on_times(_timefn_build(out["collateral_frac"]), ts)
     b = on_times(_timefn_build(out["closeout_frac"]), ts)
     bad = np.flatnonzero((a > b) | (b > 1.0))
@@ -255,110 +259,30 @@ def _norm_market(raw, t_lo: float, t_hi: float) -> dict:
         j = bad[0]
         if a[j] > b[j]:
             raise ConfigError(
-                "market.collateral_frac",
-                f"must stay <= market.closeout_frac, got ({a[j]}, {b[j]}) at t={ts[j]}",
+                f"{path}.collateral_frac",
+                f"must stay <= {path}.closeout_frac, got ({a[j]}, {b[j]}) at t={ts[j]}",
             )
-        raise ConfigError("market.closeout_frac", f"must stay <= 1, got {b[j]} at t={ts[j]}")
-    out["lgd_investor"] = _num(obj.get("lgd_investor", 0.0), "market.lgd_investor", 0.0, 1.0)
-    out["lgd_counterparty"] = _num(
-        obj.get("lgd_counterparty", 0.0), "market.lgd_counterparty", 0.0, 1.0
-    )
-    out["own_default_funding"] = _bool(
-        obj.get("own_default_funding", True), "market.own_default_funding"
-    )
+        raise ConfigError(f"{path}.closeout_frac", f"must stay <= 1, got {b[j]} at t={ts[j]}")
 
-    div = _obj(obj.get("dividend", {"kind": "zero"}), "market.dividend")
-    kind = div.get("kind")
-    if kind == "zero":
-        _reject_unknown(div, "market.dividend", {"kind"})
-        out["dividend"] = {"kind": "zero"}
-    elif kind == "constant":
-        _reject_unknown(div, "market.dividend", {"kind", "value"})
-        out["dividend"] = {
-            "kind": "constant",
-            "value": _num(div.get("value", None), "market.dividend.value"),
-        }
-    elif kind == "piecewise_constant":
-        out["dividend"] = _timefn_cfg(div, "market.dividend")
-    else:
+
+def _t_after_t0(out: dict, path: str) -> None:
+    if out["T"] <= out["t0"]:
+        raise ConfigError(f"{path}.T", f"must exceed {path}.t0 = {out['t0']}, got {out['T']}")
+
+
+def _nt_divides_steps(out: dict, path: str) -> None:
+    n_steps = out["n_steps"]
+    if out["nt"] is None:
+        out["nt"] = _largest_divisor(n_steps, 8) + 1
+    if n_steps % (out["nt"] - 1) != 0:
         raise ConfigError(
-            "market.dividend.kind",
-            "expected 'zero', 'constant' or 'piecewise_constant'",
+            f"{path}.nt", f"nt - 1 = {out['nt'] - 1} must divide {path}.n_steps = {n_steps}"
         )
-
-    hedge = _obj(obj.get("hedge", {"kind": "zero"}), "market.hedge")
-    kind = hedge.get("kind")
-    if kind == "zero":
-        _reject_unknown(hedge, "market.hedge", {"kind"})
-        out["hedge"] = {"kind": "zero"}
-    elif kind == "delta_proportional":
-        _reject_unknown(hedge, "market.hedge", {"kind", "delta"})
-        out["hedge"] = {
-            "kind": "delta_proportional",
-            "delta": _num(hedge.get("delta", None), "market.hedge.delta"),
-        }
-    else:
-        raise ConfigError("market.hedge.kind", "expected 'zero' or 'delta_proportional'")
-
-    if "payoff" not in obj:
-        raise ConfigError("market.payoff", "required")
-    pay = _obj(obj["payoff"], "market.payoff")
-    kind = pay.get("kind")
-    if kind == "constant":
-        _reject_unknown(pay, "market.payoff", {"kind", "value"})
-        out["payoff"] = {
-            "kind": "constant",
-            "value": _num(pay.get("value", None), "market.payoff.value"),
-        }
-    elif kind == "capped_call":
-        _reject_unknown(pay, "market.payoff", {"kind", "strike", "cap"})
-        out["payoff"] = {
-            "kind": "capped_call",
-            "strike": _num(pay.get("strike", None), "market.payoff.strike", 0.0, lo_strict=True),
-            "cap": _num(pay.get("cap", None), "market.payoff.cap", 0.0, lo_strict=True),
-        }
-    else:
-        raise ConfigError("market.payoff.kind", "expected 'constant' or 'capped_call'")
-    return out
-
-
-def _norm_party(raw, path: str) -> Optional[dict]:
-    if raw is None:
-        return None
-    obj = _obj(raw, path)
-    _reject_unknown(obj, path, {"intensity", "threshold"})
-    if "intensity" not in obj:
-        raise ConfigError(f"{path}.intensity", "required")
-    thr = _obj(obj.get("threshold", None), f"{path}.threshold")
-    _reject_unknown(thr, f"{path}.threshold", {"shape", "rate"})
-    return {
-        "intensity": _timefn_cfg(obj["intensity"], f"{path}.intensity", lo=0.0),
-        "threshold": {
-            "shape": _num(thr.get("shape", None), f"{path}.threshold.shape", 0.0, lo_strict=True),
-            "rate": _num(thr.get("rate", None), f"{path}.threshold.rate", 0.0, lo_strict=True),
-        },
-    }
-
-
-def _norm_defaults(raw) -> Optional[dict]:
-    if raw is None:
-        return None
-    obj = _obj(raw, "defaults")
-    _reject_unknown(obj, "defaults", {"investor", "counterparty"})
-    inv = _norm_party(obj.get("investor"), "defaults.investor")
-    cpy = _norm_party(obj.get("counterparty"), "defaults.counterparty")
-    if inv is None and cpy is None:
-        return None
-    return {"investor": inv, "counterparty": cpy}
 
 
 def _largest_divisor(n: int, cap: int) -> int:
     """Largest divisor of n that is at most cap."""
     return max(d for d in range(1, min(cap, n) + 1) if n % d == 0)
-
-
-def _default_nt(n_steps: int) -> int:
-    return _largest_divisor(n_steps, 8) + 1
 
 
 def _norm_range(val, path: str, positive: bool):
@@ -375,54 +299,172 @@ def _norm_range(val, path: str, positive: bool):
     return [lo, hi]
 
 
-def _norm_grid(raw) -> dict:
-    obj = _obj(raw, "grid")
-    _reject_unknown(
-        obj, "grid", {"t0", "T", "n_steps", "nt", "nx", "nv", "x_range", "v_range"}
+# -- the schema: one table per section and per kind ---------------------------------
+
+
+def _vol_params(maker):
+    return lambda m, drift: maker(
+        **{key: _timefn_build(m[key]) for key in ("k", "l0", "lam")}, rho=m["rho"], drift_b=drift
     )
-    t0 = _num(obj.get("t0", 0.0), "grid.t0")
-    if "T" not in obj:
-        raise ConfigError("grid.T", "required")
-    t_end = _num(obj["T"], "grid.T")
-    if t_end <= t0:
-        raise ConfigError("grid.T", f"must exceed grid.t0 = {t0}, got {t_end}")
-    n_steps = _int(obj.get("n_steps", 64), "grid.n_steps", lo=1)
-    nt = obj.get("nt")
-    nt = _default_nt(n_steps) if nt is None else _int(nt, "grid.nt", lo=2)
-    if n_steps % (nt - 1) != 0:
-        raise ConfigError(
-            "grid.nt", f"nt - 1 = {nt - 1} must divide grid.n_steps = {n_steps}"
-        )
+
+
+def _power_params(m: dict, drift) -> PowerParams:
+    p = m["params"]
+    return PowerParams(
+        **{key: _timefn_build(p[key]) for key in ("k", "l0", "theta0", "theta1", "rho")},
+        l=tuple(_timefn_build(v) for v in p["l"]),
+        alpha=tuple(p["alpha"]),
+        lam=tuple(_timefn_build(v) for v in p["lam"]),
+        beta=tuple(p["beta"]),
+        drift_b=drift,
+    )
+
+
+_MODEL_COMMON = (("s0", None, _POSITIVE), ("drift_b", 0.0, _timefn_cfg))
+
+_VOL_FIELDS = (
+    ("k", _REQUIRED, _TIMEFN_NON_NEGATIVE),
+    ("l0", _REQUIRED, _TIMEFN_NON_NEGATIVE),
+    ("lam", _REQUIRED, _timefn_cfg),
+    ("rho", 0.0, _correlation),
+    ("v0", None, _NON_NEGATIVE),
+)
+
+# the custom preset's theta1 defaults to 0, unlike PowerParams' 1
+_POWER_FIELDS = (
+    ("k", 0.0, _TIMEFN_NON_NEGATIVE),
+    ("l0", 0.0, _TIMEFN_NON_NEGATIVE),
+    ("theta0", 0.0, _timefn_cfg),
+    ("theta1", 0.0, _timefn_cfg),
+    ("rho", 0.0, _timefn_cfg),
+    ("l", [], partial(_array_of, check=_timefn_cfg)),
+    ("lam", [], partial(_array_of, check=_timefn_cfg)),
+    ("alpha", [], partial(_array_of, check=_num)),
+    ("beta", [], partial(_array_of, check=_num)),
+    _paired("l", "alpha"),
+    _paired("lam", "beta"),
+)
+
+# build(model, drift_b) takes the canonical model and its drift_b time function
+_PRESETS = {
+    "black_scholes": _Kind(
+        (("sigma", None, _OPTIONAL_POSITIVE), ("v0", None, _OPTIONAL_POSITIVE), _sigma_or_v0),
+        lambda m, drift: black_scholes_params(drift_b=drift),
+    ),
+    "heston": _Kind(_VOL_FIELDS, _vol_params(heston_params)),
+    "garch": _Kind(_VOL_FIELDS, _vol_params(garch_params)),
+    "custom": _Kind(
+        (("v0", None, _NON_NEGATIVE), ("params", None, partial(_section, fields=_POWER_FIELDS))),
+        _power_params,
+    ),
+}
+
+
+def _piecewise_dividend(norm: dict) -> Callable:
+    fn = _timefn_build(norm)
+
+    def pi(t, s, v):
+        return np.full_like(np.asarray(s, dtype=float), float(fn(t)))
+
+    return pi
+
+
+_DIVIDENDS = {
+    "zero": _Kind((), lambda d: zero_dividend),
+    "constant": _Kind((("value", None, _num),), lambda d: constant_dividend(d["value"])),
+    "piecewise_constant": _Kind(_timefn_cfg, _piecewise_dividend),  # a time function
+}
+
+# build returns the hedge and its Lipschitz constant in the value
+_HEDGES = {
+    "zero": _Kind((), lambda h: (zero_hedge, 0.0)),
+    "delta_proportional": _Kind(
+        (("delta", None, _num),),
+        lambda h: (proportional_hedge(h["delta"]), abs(h["delta"])),
+    ),
+}
+
+_PAYOFFS = {
+    "constant": _Kind(
+        (("value", None, _num),),
+        lambda p: constant_payoff(p["value"]),
+        band=lambda p: (0.0, p["value"]) if p["value"] >= 0.0 else None,
+    ),
+    "capped_call": _Kind(
+        (("strike", None, _POSITIVE), ("cap", None, _POSITIVE)),
+        lambda p: capped_call(p["strike"], p["cap"]),
+        band=lambda p: (0.0, p["cap"]),
+    ),
+}
+
+_RATE_KEYS = (
+    "collateral_rate_pos",
+    "collateral_rate_neg",
+    "funding_rate_pos",
+    "funding_rate_neg",
+    "hedge_rate_pos",
+    "hedge_rate_neg",
+)
+
+_TIME_KEYS = ("rate", *_RATE_KEYS, "collateral_frac", "closeout_frac")  # MarketSpec time functions
+
+_MARKET_TERMS = (
+    ("lgd_investor", 0.0, _FRACTION),
+    ("lgd_counterparty", 0.0, _FRACTION),
+    ("own_default_funding", True, _bool),
+    ("dividend", {"kind": "zero"}, partial(_kinded, table=_DIVIDENDS)),
+    ("hedge", {"kind": "zero"}, partial(_kinded, table=_HEDGES)),
+    ("payoff", _REQUIRED, partial(_kinded, table=_PAYOFFS)),
+)
+
+_THRESHOLD = (("shape", None, _POSITIVE), ("rate", None, _POSITIVE))
+
+_GRID = (
+    ("t0", 0.0, _num),
+    ("T", _REQUIRED, _num),
+    _t_after_t0,
+    ("n_steps", 64, partial(_int, lo=1)),
+    ("nt", None, partial(_optional, check=partial(_int, lo=2))),  # None: see _nt_divides_steps
+    _nt_divides_steps,
+    ("nx", 21, partial(_int, lo=2)),
+    ("nv", 9, partial(_int, lo=2)),
+    ("x_range", "auto", partial(_norm_range, positive=False)),
+    ("v_range", "auto", partial(_norm_range, positive=True)),
+)
+
+_MC = (("n_paths", 20000, partial(_int, lo=2)), ("master_seed", 0, partial(_int, lo=0)))
+
+_SOLVER = (
+    ("tol", 1e-3, _POSITIVE),
+    ("max_iter", 25, partial(_int, lo=1)),
+    ("gamma", 0.0, _timefn_cfg),
+)
+
+
+# -- section normalisers ----------------------------------------------------------
+
+
+def _norm_party(raw, path: str) -> Optional[dict]:
+    if raw is None:
+        return None
+    obj = _obj(raw, path)
+    _reject_unknown(obj, path, {"intensity", "threshold"})
+    if "intensity" not in obj:
+        raise ConfigError(f"{path}.intensity", "required")
+    thr = _obj(obj.get("threshold", None), f"{path}.threshold")
+    _reject_unknown(thr, f"{path}.threshold", _keys(_THRESHOLD))
     return {
-        "t0": t0,
-        "T": t_end,
-        "n_steps": n_steps,
-        "nt": nt,
-        "nx": _int(obj.get("nx", 21), "grid.nx", lo=2),
-        "nv": _int(obj.get("nv", 9), "grid.nv", lo=2),
-        "x_range": _norm_range(obj.get("x_range", "auto"), "grid.x_range", False),
-        "v_range": _norm_range(obj.get("v_range", "auto"), "grid.v_range", True),
+        "intensity": _timefn_cfg(obj["intensity"], f"{path}.intensity", lo=0.0),
+        "threshold": _fields(thr, f"{path}.threshold", _THRESHOLD),
     }
 
 
-def _norm_mc(raw) -> dict:
-    obj = _obj(raw if raw is not None else {}, "mc")
-    _reject_unknown(obj, "mc", {"n_paths", "master_seed"})
-    return {
-        "n_paths": _int(obj.get("n_paths", 20000), "mc.n_paths", lo=2),
-        "master_seed": _int(obj.get("master_seed", 0), "mc.master_seed", lo=0),
-    }
+_PARTIES = (("investor", None, _norm_party), ("counterparty", None, _norm_party))
 
 
-def _norm_solver(raw) -> dict:
-    obj = _obj(raw if raw is not None else {}, "solver")
-    _reject_unknown(obj, "solver", {"max_iter", "tol", "gamma"})
-    tol = _num(obj.get("tol", 1e-3), "solver.tol", lo=0.0, lo_strict=True)
-    return {
-        "max_iter": _int(obj.get("max_iter", 25), "solver.max_iter", lo=1),
-        "tol": tol,
-        "gamma": _timefn_cfg(obj.get("gamma", 0.0), "solver.gamma"),
-    }
+def _norm_defaults(raw) -> Optional[dict]:
+    parties = None if raw is None else _section(raw, "defaults", _PARTIES)
+    return parties if parties and any(parties.values()) else None  # no clock: no section
 
 
 _TOP_KEYS = {"model", "market", "defaults", "grid", "mc", "solver"}
@@ -441,14 +483,26 @@ def normalise_config(raw: dict) -> dict:
     for key in ("model", "market", "grid"):
         if key not in obj:
             raise ConfigError(key, "required section")
-    grid = _norm_grid(obj["grid"])
+    grid = _section(obj["grid"], "grid", _GRID)
+    model = _kinded(obj["model"], "model", _PRESETS, "preset", _MODEL_COMMON,
+                    expected=f"expected one of {list(_PRESETS)}")
+    market = _obj(obj["market"], "market")
+    market_fields = (
+        ("rate", _REQUIRED, _timefn_cfg),
+        # absent spread rates default to the risk-free rate, not to zero
+        *((key, market.get("rate"), _timefn_cfg) for key in _RATE_KEYS),
+        ("collateral_frac", 0.0, _TIMEFN_NON_NEGATIVE),
+        ("closeout_frac", 1.0, _TIMEFN_NON_NEGATIVE),
+        partial(_fractions_ordered, ts=np.linspace(grid["t0"], grid["T"], 257)),
+        *_MARKET_TERMS,
+    )
     return {
-        "model": _norm_model(obj["model"]),
-        "market": _norm_market(obj["market"], grid["t0"], grid["T"]),
+        "model": model,
+        "market": _section(market, "market", market_fields),
         "defaults": _norm_defaults(obj.get("defaults")),
         "grid": grid,
-        "mc": _norm_mc(obj.get("mc")),
-        "solver": _norm_solver(obj.get("solver")),
+        "mc": _section({} if obj.get("mc") is None else obj["mc"], "mc", _MC),
+        "solver": _section({} if obj.get("solver") is None else obj["solver"], "solver", _SOLVER),
     }
 
 
@@ -472,54 +526,6 @@ def emit_config(cfg: dict) -> str:
 # -- assembly ---------------------------------------------------------------------
 
 
-def _build_params(model: dict) -> PowerParams:
-    drift = _timefn_build(model["drift_b"])
-    preset = model["preset"]
-    if preset == "black_scholes":
-        return black_scholes_params(drift_b=drift)
-    if preset in ("heston", "garch"):
-        maker = heston_params if preset == "heston" else garch_params
-        return maker(
-            k=_timefn_build(model["k"]),
-            l0=_timefn_build(model["l0"]),
-            lam=_timefn_build(model["lam"]),
-            rho=model["rho"],
-            drift_b=drift,
-        )
-    p = model["params"]
-    return PowerParams(
-        k=_timefn_build(p["k"]),
-        l0=_timefn_build(p["l0"]),
-        l=tuple(_timefn_build(v) for v in p["l"]),
-        alpha=tuple(p["alpha"]),
-        lam=tuple(_timefn_build(v) for v in p["lam"]),
-        beta=tuple(p["beta"]),
-        theta0=_timefn_build(p["theta0"]),
-        theta1=_timefn_build(p["theta1"]),
-        rho=_timefn_build(p["rho"]),
-        drift_b=drift,
-    )
-
-
-def _build_dividend(norm) -> Callable:
-    if isinstance(norm, dict) and norm.get("kind") == "zero":
-        return zero_dividend
-    if isinstance(norm, dict) and norm.get("kind") == "constant":
-        return constant_dividend(norm["value"])
-    fn = _timefn_build(norm)
-
-    def pi(t, s, v):
-        return np.full_like(np.asarray(s, dtype=float), float(fn(t)))
-
-    return pi
-
-
-def _build_payoff(norm) -> Callable:
-    if norm["kind"] == "constant":
-        return constant_payoff(norm["value"])
-    return capped_call(norm["strike"], norm["cap"])
-
-
 def _build_defaults(norm) -> Optional[DefaultSpec]:
     if norm is None:
         return None
@@ -527,10 +533,8 @@ def _build_defaults(norm) -> Optional[DefaultSpec]:
     def party(p):
         if p is None:
             return no_default_party()
-        thr = p["threshold"]
         return PartyDefault(
-            intensity=_timefn_build(p["intensity"]),
-            threshold=GammaParams(thr["shape"], thr["rate"]),
+            intensity=_timefn_build(p["intensity"]), threshold=GammaParams(**p["threshold"])
         )
 
     return DefaultSpec(investor=party(norm["investor"]), counterparty=party(norm["counterparty"]))
@@ -545,6 +549,7 @@ class RunSetup:
     model_p: VolModel
     model_q: VolModel
     spec: MarketSpec
+    payoff_band: Optional[tuple]  # the payoff's value band (lo, hi), or None
     s0: float
     v0: float
     t0: float
@@ -571,44 +576,30 @@ def build_run(cfg: dict) -> RunSetup:
     """
     model, market, grid = cfg["model"], cfg["market"], cfg["grid"]
     t0, t_end = grid["t0"], grid["T"]
-    params = _build_params(model)
+    params = _PRESETS[model["preset"]].build(model, _timefn_build(model["drift_b"]))
     try:
         model_p = build_power_model(params, horizon=t_end)
     except InvariantError as exc:
         raise ConfigError("model", str(exc)) from exc
+    times = {key: _timefn_build(market[key]) for key in _TIME_KEYS}
     try:
         model_q = measure_change(
-            model_p,
-            _timefn_build(market["rate"]),
-            _timefn_build(cfg["solver"]["gamma"]),
-            horizon=t_end,
+            model_p, times["rate"], _timefn_build(cfg["solver"]["gamma"]), horizon=t_end
         )
     except InvariantError as exc:
         raise ConfigError("solver.gamma", str(exc)) from exc
 
-    hedge = market["hedge"]
-    if hedge["kind"] == "zero":
-        hedge_fn, hedge_lip = zero_hedge, 0.0
-    else:
-        hedge_fn, hedge_lip = proportional_hedge(hedge["delta"]), abs(hedge["delta"])
-
+    payoff = market["payoff"]
+    hedge, hedge_lipschitz = _HEDGES[market["hedge"]["kind"]].build(market["hedge"])
     spec = MarketSpec(
-        rate=_timefn_build(market["rate"]),
-        collateral_rate_pos=_timefn_build(market["collateral_rate_pos"]),
-        collateral_rate_neg=_timefn_build(market["collateral_rate_neg"]),
-        funding_rate_pos=_timefn_build(market["funding_rate_pos"]),
-        funding_rate_neg=_timefn_build(market["funding_rate_neg"]),
-        hedge_rate_pos=_timefn_build(market["hedge_rate_pos"]),
-        hedge_rate_neg=_timefn_build(market["hedge_rate_neg"]),
-        collateral_frac=_timefn_build(market["collateral_frac"]),
-        closeout_frac=_timefn_build(market["closeout_frac"]),
+        **times,
         lgd_investor=market["lgd_investor"],
         lgd_counterparty=market["lgd_counterparty"],
         own_default_funding=market["own_default_funding"],
-        dividend=_build_dividend(market["dividend"]),
-        hedge=hedge_fn,
-        hedge_lipschitz=hedge_lip,
-        payoff=_build_payoff(market["payoff"]),
+        dividend=_DIVIDENDS[market["dividend"]["kind"]].build(market["dividend"]),
+        hedge=hedge,
+        hedge_lipschitz=hedge_lipschitz,
+        payoff=_PAYOFFS[payoff["kind"]].build(payoff),
         defaults=_build_defaults(cfg["defaults"]),
         t0=t0,
     )
@@ -623,20 +614,14 @@ def build_run(cfg: dict) -> RunSetup:
         model_p=model_p,
         model_q=model_q,
         spec=spec,
+        payoff_band=_PAYOFFS[payoff["kind"]].band(payoff),
         s0=model["s0"],
         v0=model["v0"],
         t0=t0,
         t_end=t_end,
-        n_steps=grid["n_steps"],
-        nt=grid["nt"],
-        nx=grid["nx"],
-        nv=grid["nv"],
-        x_range=grid["x_range"],
-        v_range=grid["v_range"],
-        n_paths=cfg["mc"]["n_paths"],
-        master_seed=cfg["mc"]["master_seed"],
-        max_iter=cfg["solver"]["max_iter"],
-        tol=cfg["solver"]["tol"],
+        **{key: grid[key] for key in ("n_steps", "nt", "nx", "nv", "x_range", "v_range")},
+        **{key: cfg["mc"][key] for key in ("n_paths", "master_seed")},
+        **{key: cfg["solver"][key] for key in ("max_iter", "tol")},
     )
 
 

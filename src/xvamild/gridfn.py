@@ -167,15 +167,3 @@ def save_grid(fn: GridFunction, path) -> None:
             "values.npy": _npy_bytes(fn.values),
         },
     )
-
-
-def load_grid(path) -> GridFunction:
-    with zipfile.ZipFile(path) as zf:
-        header = json.loads(zf.read("header.json"))
-        if header.get("kind") != "gridfunction":
-            raise InvariantError(f"not a grid cache: {path}")
-        arrs = {
-            name: np.lib.format.read_array(io.BytesIO(zf.read(f"{name}.npy")))
-            for name in ("t_nodes", "x_nodes", "v_nodes", "values")
-        }
-    return GridFunction(arrs["t_nodes"], arrs["x_nodes"], arrs["v_nodes"], arrs["values"])

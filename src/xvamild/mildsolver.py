@@ -42,7 +42,6 @@ from .defaultclock import _trapezoid_cumsum
 from .gridfn import (  # re-exported: the solver's output container
     CoverageError,
     GridFunction,
-    load_grid,
     save_grid,
     sup_diff,
     write_grid_csv,

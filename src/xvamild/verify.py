@@ -38,14 +38,6 @@ class CheckResult:
     detail: str
     seconds: float
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-            "seconds": self.seconds,
-        }
-
 
 def _timed(name, fn) -> CheckResult:
     start = time.perf_counter()
@@ -262,13 +254,9 @@ def check_value_bounds(setup: RunSetup, rep) -> CheckResult:
     """Payoff bounds must propagate to the value field when the driver allows."""
 
     def body():
-        pay = setup.cfg["market"]["payoff"]
-        if pay["kind"] == "capped_call":
-            lo, hi = 0.0, pay["cap"]
-        elif pay["kind"] == "constant" and pay["value"] >= 0.0:
-            lo, hi = 0.0, pay["value"]
-        else:
+        if setup.payoff_band is None:
             return True, "payoff not in [0, bound] form; bound not applicable"
+        lo, hi = setup.payoff_band
         if rep is None:
             return False, "no solved field available (martingale check crashed)"
         edge = driver_boundary_check(

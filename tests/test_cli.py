@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from xvamild import config
 from xvamild.cli import main
 from xvamild.config import (
     ConfigError,
@@ -164,6 +165,404 @@ def test_piecewise_time_function_validation():
         normalise_config(cfg)
 
 
+# -- golden config ------------------------------------------------------------------
+
+# One base per model preset; together they hold every dividend, hedge and
+# payoff kind.  A case applies {dotted path: value} edits to a base (DROP
+# deletes the key) and pins either the exact ConfigError text or, when the
+# config is accepted, its canonical JSON (compact here, compared as
+# emit_config's two-space-indented text).
+DROP = object()
+
+
+def _pw(times, values, **extra):
+    return {"kind": "piecewise_constant", "times": times, "values": values, **extra}
+
+
+GOLDEN_BASES = {
+    "heston": {
+        "model": {"preset": "heston", "s0": 100.0, "v0": 0.04, "k": 0.05, "l0": 1.0,
+                  "lam": 0.3, "rho": -0.5, "drift_b": 0.02},
+        "market": {
+            "rate": 0.03, "collateral_rate_pos": 0.035, "funding_rate_neg": 0.02,
+            "collateral_frac": 0.5, "lgd_investor": 0.6, "lgd_counterparty": 0.4,
+            "own_default_funding": False,
+            "dividend": {"kind": "constant", "value": 0.01},
+            "hedge": {"kind": "delta_proportional", "delta": -0.5},
+            "payoff": {"kind": "capped_call", "strike": 100.0, "cap": 30.0},
+        },
+        "defaults": {
+            "investor": {"intensity": 0.1, "threshold": {"shape": 1.0, "rate": 1.0}},
+            "counterparty": {
+                "intensity": _pw([0.25], [0.15, 0.2]),
+                "threshold": {"shape": 1.5, "rate": 2.0},
+            },
+        },
+        "grid": {"t0": 0.0, "T": 0.5, "n_steps": 32, "nt": 5, "nx": 9, "nv": 5},
+        "mc": {"n_paths": 3000, "master_seed": 7},
+        "solver": {"max_iter": 12, "tol": 0.001, "gamma": 0.1},
+    },
+    "black_scholes": {
+        "model": {"preset": "black_scholes", "s0": 100.0, "sigma": 0.2},
+        "market": {
+            "rate": _pw([0.5], [0.05, 0.04]),
+            "dividend": _pw([0.25], [0.0, 0.01]),
+            "payoff": {"kind": "constant", "value": 1.0},
+        },
+        "grid": {"T": 1.0, "n_steps": 8, "nx": 7, "nv": 2,
+                 "x_range": [4.0, 5.0], "v_range": [0.01, 0.09]},
+    },
+    "garch": {
+        "model": {"preset": "garch", "s0": 50.0, "v0": 0.1, "l0": 0.5, "lam": 0.2,
+                  "k": _pw([1.0], [0.1, 0.2])},
+        "market": {"rate": 0.0, "closeout_frac": 0.8,
+                   "payoff": {"kind": "capped_call", "strike": 50.0, "cap": 10.0}},
+        "defaults": {"counterparty": {"intensity": 0.05,
+                                      "threshold": {"shape": 2.0, "rate": 1.0}}},
+        "grid": {"t0": 0.5, "T": 1.5, "n_steps": 12},
+        "mc": None,
+        "solver": None,
+    },
+    "custom": {
+        "model": {
+            "preset": "custom", "s0": 1.0, "v0": 0.2,
+            "params": {"k": 0.1, "l0": 0.5, "l": [-0.1], "alpha": [1.5], "lam": [0.2, 0.1],
+                       "beta": [0.5, 1.0], "theta0": 0.2, "rho": -0.3},
+        },
+        "market": {"rate": 0.01, "dividend": {"kind": "zero"}, "hedge": {"kind": "zero"},
+                   "payoff": {"kind": "constant", "value": -1.0}},
+        "grid": {"T": 1.0},
+        "mc": {},
+        "solver": {"gamma": 0.0},
+    },
+}
+
+
+def _edited(base: str, edits: dict):
+    cfg = copy.deepcopy(GOLDEN_BASES[base])
+    for path, value in edits.items():
+        if not path:
+            return value
+        *parents, key = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = value
+    return cfg
+
+
+GOLDEN_CASES = [
+    ("heston", {},
+     '{"defaults":{"counterparty":{"intensity":{"kind":"piecewise_constant","times":[0.25]'
+     ',"values":[0.15,0.2]},"threshold":{"rate":2.0,"shape":1.5}},"investor":{"intensity":'
+     '0.1,"threshold":{"rate":1.0,"shape":1.0}}},"grid":{"T":0.5,"n_steps":32,"nt":5,"nv":'
+     '5,"nx":9,"t0":0.0,"v_range":"auto","x_range":"auto"},"market":{"closeout_frac":1.0,"'
+     'collateral_frac":0.5,"collateral_rate_neg":0.03,"collateral_rate_pos":0.035,"dividen'
+     'd":{"kind":"constant","value":0.01},"funding_rate_neg":0.02,"funding_rate_pos":0.03,'
+     '"hedge":{"delta":-0.5,"kind":"delta_proportional"},"hedge_rate_neg":0.03,"hedge_rate'
+     '_pos":0.03,"lgd_counterparty":0.4,"lgd_investor":0.6,"own_default_funding":false,"pa'
+     'yoff":{"cap":30.0,"kind":"capped_call","strike":100.0},"rate":0.03},"mc":{"master_se'
+     'ed":7,"n_paths":3000},"model":{"drift_b":0.02,"k":0.05,"l0":1.0,"lam":0.3,"preset":"'
+     'heston","rho":-0.5,"s0":100.0,"v0":0.04},"solver":{"gamma":0.1,"max_iter":12,"tol":0'
+     '.001}}'),
+    ("black_scholes", {},
+     '{"defaults":null,"grid":{"T":1.0,"n_steps":8,"nt":9,"nv":2,"nx":7,"t0":0.0,"v_range"'
+     ':[0.01,0.09],"x_range":[4.0,5.0]},"market":{"closeout_frac":1.0,"collateral_frac":0.'
+     '0,"collateral_rate_neg":{"kind":"piecewise_constant","times":[0.5],"values":[0.05,0.'
+     '04]},"collateral_rate_pos":{"kind":"piecewise_constant","times":[0.5],"values":[0.05'
+     ',0.04]},"dividend":{"kind":"piecewise_constant","times":[0.25],"values":[0.0,0.01]},'
+     '"funding_rate_neg":{"kind":"piecewise_constant","times":[0.5],"values":[0.05,0.04]},'
+     '"funding_rate_pos":{"kind":"piecewise_constant","times":[0.5],"values":[0.05,0.04]},'
+     '"hedge":{"kind":"zero"},"hedge_rate_neg":{"kind":"piecewise_constant","times":[0.5],'
+     '"values":[0.05,0.04]},"hedge_rate_pos":{"kind":"piecewise_constant","times":[0.5],"v'
+     'alues":[0.05,0.04]},"lgd_counterparty":0.0,"lgd_investor":0.0,"own_default_funding":'
+     'true,"payoff":{"kind":"constant","value":1.0},"rate":{"kind":"piecewise_constant","t'
+     'imes":[0.5],"values":[0.05,0.04]}},"mc":{"master_seed":0,"n_paths":20000},"model":{"'
+     'drift_b":0.0,"preset":"black_scholes","s0":100.0,"sigma":0.2,"v0":0.0400000000000000'
+     '1},"solver":{"gamma":0.0,"max_iter":25,"tol":0.001}}'),
+    ("garch", {},
+     '{"defaults":{"counterparty":{"intensity":0.05,"threshold":{"rate":1.0,"shape":2.0}},'
+     '"investor":null},"grid":{"T":1.5,"n_steps":12,"nt":7,"nv":9,"nx":21,"t0":0.5,"v_rang'
+     'e":"auto","x_range":"auto"},"market":{"closeout_frac":0.8,"collateral_frac":0.0,"col'
+     'lateral_rate_neg":0.0,"collateral_rate_pos":0.0,"dividend":{"kind":"zero"},"funding_'
+     'rate_neg":0.0,"funding_rate_pos":0.0,"hedge":{"kind":"zero"},"hedge_rate_neg":0.0,"h'
+     'edge_rate_pos":0.0,"lgd_counterparty":0.0,"lgd_investor":0.0,"own_default_funding":t'
+     'rue,"payoff":{"cap":10.0,"kind":"capped_call","strike":50.0},"rate":0.0},"mc":{"mast'
+     'er_seed":0,"n_paths":20000},"model":{"drift_b":0.0,"k":{"kind":"piecewise_constant",'
+     '"times":[1.0],"values":[0.1,0.2]},"l0":0.5,"lam":0.2,"preset":"garch","rho":0.0,"s0"'
+     ':50.0,"v0":0.1},"solver":{"gamma":0.0,"max_iter":25,"tol":0.001}}'),
+    ("custom", {},
+     '{"defaults":null,"grid":{"T":1.0,"n_steps":64,"nt":9,"nv":9,"nx":21,"t0":0.0,"v_rang'
+     'e":"auto","x_range":"auto"},"market":{"closeout_frac":1.0,"collateral_frac":0.0,"col'
+     'lateral_rate_neg":0.01,"collateral_rate_pos":0.01,"dividend":{"kind":"zero"},"fundin'
+     'g_rate_neg":0.01,"funding_rate_pos":0.01,"hedge":{"kind":"zero"},"hedge_rate_neg":0.'
+     '01,"hedge_rate_pos":0.01,"lgd_counterparty":0.0,"lgd_investor":0.0,"own_default_fund'
+     'ing":true,"payoff":{"kind":"constant","value":-1.0},"rate":0.01},"mc":{"master_seed"'
+     ':0,"n_paths":20000},"model":{"drift_b":0.0,"params":{"alpha":[1.5],"beta":[0.5,1.0],'
+     '"k":0.1,"l":[-0.1],"l0":0.5,"lam":[0.2,0.1],"rho":-0.3,"theta0":0.2,"theta1":0.0},"p'
+     'reset":"custom","s0":1.0,"v0":0.2},"solver":{"gamma":0.0,"max_iter":25,"tol":0.001}}'),
+    ("heston", {"": []}, 'config: expected an object, got list'),
+    ("heston", {"model": DROP}, 'model: required section'),
+    ("heston", {"market": DROP}, 'market: required section'),
+    ("heston", {"grid": DROP}, 'grid: required section'),
+    ("heston", {"extra": 1}, 'extra: unknown key'),
+    ("heston", {"model": 3}, 'model: expected an object, got int'),
+    ("heston", {"model.preset": "hestonn"},
+     "model.preset: expected one of ['black_scholes', 'heston', 'garch', 'custom']"),
+    ("heston", {"model.preset": {}},
+     "model.preset: expected one of ['black_scholes', 'heston', 'garch', 'custom']"),
+    ("heston", {"model.preset": DROP},
+     "model.preset: expected one of ['black_scholes', 'heston', 'garch', 'custom']"),
+    ("heston", {"model.s0": 0.0}, 'model.s0: must be > 0.0, got 0.0'),
+    ("heston", {"model.s0": DROP}, 'model.s0: expected a number, got NoneType'),
+    ("heston", {"model.drift_b": "x"}, 'model.drift_b: expected an object, got str'),
+    ("heston", {"model.extra": 1}, 'model.extra: unknown key'),
+    ("heston", {"model.sigma": 0.2}, 'model.sigma: unknown key'),
+    ("heston", {"model.k": DROP}, "model.k: required for preset 'heston'"),
+    ("heston", {"model.k": -0.1}, 'model.k: must be >= 0.0, got -0.1'),
+    ("heston", {"model.l0": DROP}, "model.l0: required for preset 'heston'"),
+    ("heston", {"model.l0": -1}, 'model.l0: must be >= 0.0, got -1.0'),
+    ("heston", {"model.lam": DROP}, "model.lam: required for preset 'heston'"),
+    ("heston", {"model.lam": True}, 'model.lam: expected an object, got bool'),
+    ("heston", {"model.rho": 1.0}, 'model.rho: must lie strictly inside (-1, 1)'),
+    ("heston", {"model.rho": 1.5}, 'model.rho: must be <= 1.0, got 1.5'),
+    ("heston", {"model.rho": "x"}, 'model.rho: expected a number, got str'),
+    ("heston", {"model.v0": -0.01}, 'model.v0: must be >= 0.0, got -0.01'),
+    ("heston", {"model.v0": DROP}, 'model.v0: expected a number, got NoneType'),
+    ("heston", {"model.s0": -1, "model.extra": 1}, 'model.s0: must be > 0.0, got -1.0'),
+    ("heston", {"model.extra": 1, "model.k": DROP}, 'model.extra: unknown key'),
+    ("heston", {"model.rho": 1.0, "model.v0": DROP}, 'model.rho: must lie strictly inside (-1, 1)'),
+    ("garch", {"model.k": DROP}, "model.k: required for preset 'garch'"),
+    ("garch", {"model.l0": _pw([0.1], [1])},
+     'model.l0.values: need len(times) + 1 = 2 entries, got 1'),
+    ("garch", {"model.lam": [0.2]}, 'model.lam: expected an object, got list'),
+    ("garch", {"model.rho": -1.0}, 'model.rho: must lie strictly inside (-1, 1)'),
+    ("garch", {"model.params": {}}, 'model.params: unknown key'),
+    ("black_scholes", {"model.sigma": DROP}, 'model.sigma: black_scholes needs sigma or v0'),
+    ("black_scholes", {"model.sigma": None}, 'model.sigma: black_scholes needs sigma or v0'),
+    ("black_scholes", {"model.sigma": -0.2}, 'model.sigma: must be > 0.0, got -0.2'),
+    ("black_scholes", {"model.v0": 0.09},
+     'model.v0: inconsistent with sigma^2 = 0.04000000000000001'),
+    ("black_scholes", {"model.v0": "x"}, 'model.v0: expected a number, got str'),
+    ("black_scholes", {"model.v0": 0.0, "model.sigma": DROP}, 'model.v0: must be > 0.0, got 0.0'),
+    ("black_scholes", {"model.k": 0.1}, 'model.k: unknown key'),
+    ("black_scholes", {"model.drift_b": _pw([], [1])},
+     'model.drift_b.times: expected a non-empty array of numbers'),
+    ("custom", {"model.params": DROP}, 'model.params: expected an object, got NoneType'),
+    ("custom", {"model.params": []}, 'model.params: expected an object, got list'),
+    ("custom", {"model.params.extra": 1}, 'model.params.extra: unknown key'),
+    ("custom", {"model.params.k": -1}, 'model.params.k: must be >= 0.0, got -1.0'),
+    ("custom", {"model.params.l0": -1}, 'model.params.l0: must be >= 0.0, got -1.0'),
+    ("custom", {"model.params.theta0": "x"}, 'model.params.theta0: expected an object, got str'),
+    ("custom", {"model.params.theta1": None},
+     'model.params.theta1: expected an object, got NoneType'),
+    ("custom", {"model.params.rho": []}, 'model.params.rho: expected an object, got list'),
+    ("custom", {"model.params.l": 1.0}, 'model.params.l: expected an array'),
+    ("custom", {"model.params.l": [-0.1, "x"]}, 'model.params.l[1]: expected an object, got str'),
+    ("custom", {"model.params.alpha": {}}, 'model.params.alpha: expected an array'),
+    ("custom", {"model.params.alpha": [1.0, 0.5]},
+     'model.params.alpha: must pair one exponent per l term'),
+    ("custom", {"model.params.alpha": ["x"]}, 'model.params.alpha[0]: expected a number, got str'),
+    ("custom", {"model.params.lam": [None]},
+     'model.params.lam[0]: expected an object, got NoneType'),
+    ("custom", {"model.params.lam": "x"}, 'model.params.lam: expected an array'),
+    ("custom", {"model.params.beta": [0.5, "x"]},
+     'model.params.beta[1]: expected a number, got str'),
+    ("custom", {"model.params.beta": [0.5]},
+     'model.params.beta: must pair one exponent per lam term'),
+    ("custom", {"model.params.beta": None}, 'model.params.beta: expected an array'),
+    ("custom", {"model.params.alpha": [0.5]}, 'model: alpha[0] must satisfy alpha >= 1, got 0.5'),
+    ("custom", {"model.params.l": [0.1]}, 'model: l[0] must be non-positive, got 0.1 at t=0.0'),
+    ("custom", {"model.params.rho": _pw([0.5], [0.5, 1.5])},
+     'model: rho must stay inside (-1, 1), got 1.5 at t=0.5'),
+    ("custom", {"solver.gamma": 0.2},
+     'solver.gamma: nonzero vol-of-vol premium requires theta_vanishes_at_zero to be asserted'),
+    ("custom", {"model.v0": DROP}, 'model.v0: expected a number, got NoneType'),
+    ("custom", {"model.sigma": 0.1}, 'model.sigma: unknown key'),
+    ("custom", {"model.params.beta": [], "model.params.alpha": [1.0, 2.0]},
+     'model.params.alpha: must pair one exponent per l term'),
+    ("heston", {"market": "x"}, 'market: expected an object, got str'),
+    ("heston", {"market.extra": 1}, 'market.extra: unknown key'),
+    ("heston", {"market.extra": 1, "market.rate": "x"}, 'market.extra: unknown key'),
+    ("heston", {"market.rate": DROP}, 'market.rate: required'),
+    ("heston", {"market.rate": math.inf}, 'market.rate: must be finite'),
+    ("heston", {"market.rate": {"kind": "linear"}},
+     "market.rate.kind: expected a number or kind 'piecewise_constant'"),
+    ("heston", {"market.rate": {"kind": [], "times": [1.0], "values": [1, 2]}},
+     "market.rate.kind: expected a number or kind 'piecewise_constant'"),
+    ("heston", {"market.rate": _pw([], [1])},
+     'market.rate.times: expected a non-empty array of numbers'),
+    ("heston", {"market.rate": _pw([0.2, 0.1], [1, 2, 3])},
+     'market.rate.times: must be strictly increasing'),
+    ("heston", {"market.rate": _pw([0.1], "x")},
+     'market.rate.values: expected an array of numbers'),
+    ("heston", {"market.rate": _pw([0.1, "a"], [1, 2, 3])},
+     'market.rate.times[1]: expected a number, got str'),
+    ("heston", {"market.rate": _pw([0.1], [1, 2, "a"])},
+     'market.rate.values[2]: expected a number, got str'),
+    ("heston", {"market.rate": _pw([0.1], [1])},
+     'market.rate.values: need len(times) + 1 = 2 entries, got 1'),
+    ("heston", {"market.rate": _pw([0.1], [1, 2], extra=1)}, 'market.rate.extra: unknown key'),
+    ("heston", {"market.collateral_rate_pos": "x"},
+     'market.collateral_rate_pos: expected an object, got str'),
+    ("heston", {"market.collateral_rate_neg": True},
+     'market.collateral_rate_neg: expected an object, got bool'),
+    ("heston", {"market.funding_rate_pos": None},
+     'market.funding_rate_pos: expected an object, got NoneType'),
+    ("heston", {"market.funding_rate_neg": []},
+     'market.funding_rate_neg: expected an object, got list'),
+    ("heston", {"market.hedge_rate_pos": {}},
+     "market.hedge_rate_pos.kind: expected a number or kind 'piecewise_constant'"),
+    ("heston", {"market.hedge_rate_neg": -math.inf}, 'market.hedge_rate_neg: must be finite'),
+    ("heston", {"market.rate": "x", "market.funding_rate_pos": "y"},
+     'market.rate: expected an object, got str'),
+    ("heston", {"market.collateral_frac": -0.1},
+     'market.collateral_frac: must be >= 0.0, got -0.1'),
+    ("heston", {"market.closeout_frac": 0.4},
+     'market.collateral_frac: must stay <= market.closeout_frac, got (0.5, 0.4) at t=0.0'),
+    ("heston", {"market.closeout_frac": -1}, 'market.closeout_frac: must be >= 0.0, got -1.0'),
+    ("heston", {"market.closeout_frac": _pw([0.3], [1.0, 1.5])},
+     'market.closeout_frac: must stay <= 1, got 1.5 at t=0.30078125'),
+    ("heston", {"market.collateral_frac": _pw([0.3], [0.5, -0.5])},
+     'market.collateral_frac.values[1]: must be >= 0.0, got -0.5'),
+    ("heston", {"market.closeout_frac": 0.4, "market.lgd_investor": 2},
+     'market.collateral_frac: must stay <= market.closeout_frac, got (0.5, 0.4) at t=0.0'),
+    ("heston", {"market.lgd_investor": 1.5}, 'market.lgd_investor: must be <= 1.0, got 1.5'),
+    ("heston", {"market.lgd_counterparty": -0.1},
+     'market.lgd_counterparty: must be >= 0.0, got -0.1'),
+    ("heston", {"market.own_default_funding": 1},
+     'market.own_default_funding: expected a boolean, got int'),
+    ("heston", {"market.dividend": 5}, 'market.dividend: expected an object, got int'),
+    ("heston", {"market.dividend.kind": "linear"},
+     "market.dividend.kind: expected 'zero', 'constant' or 'piecewise_constant'"),
+    ("heston", {"market.dividend.kind": []},
+     "market.dividend.kind: expected 'zero', 'constant' or 'piecewise_constant'"),
+    ("heston", {"market.dividend.kind": DROP},
+     "market.dividend.kind: expected 'zero', 'constant' or 'piecewise_constant'"),
+    ("heston", {"market.dividend.value": DROP},
+     'market.dividend.value: expected a number, got NoneType'),
+    ("heston", {"market.dividend.value": "x"}, 'market.dividend.value: expected a number, got str'),
+    ("heston", {"market.dividend.extra": 1}, 'market.dividend.extra: unknown key'),
+    ("black_scholes", {"market.dividend.times": [0.3, 0.2]},
+     'market.dividend.times: must be strictly increasing'),
+    ("black_scholes", {"market.dividend.values": [1]},
+     'market.dividend.values: need len(times) + 1 = 2 entries, got 1'),
+    ("black_scholes", {"market.dividend.values": ["a"], "market.dividend.times": "x"},
+     'market.dividend.times: expected a non-empty array of numbers'),
+    ("black_scholes", {"market.dividend.extra": 1}, 'market.dividend.extra: unknown key'),
+    ("black_scholes", {"market.dividend.value": 1}, 'market.dividend.value: unknown key'),
+    ("garch", {"market.dividend": {"kind": "zero", "value": 1}},
+     'market.dividend.value: unknown key'),
+    ("heston", {"market.hedge": []}, 'market.hedge: expected an object, got list'),
+    ("heston", {"market.hedge.kind": "gamma"},
+     "market.hedge.kind: expected 'zero' or 'delta_proportional'"),
+    ("heston", {"market.hedge.kind": []},
+     "market.hedge.kind: expected 'zero' or 'delta_proportional'"),
+    ("heston", {"market.hedge.kind": {}},
+     "market.hedge.kind: expected 'zero' or 'delta_proportional'"),
+    ("heston", {"market.hedge.delta": DROP}, 'market.hedge.delta: expected a number, got NoneType'),
+    ("heston", {"market.hedge.delta": True}, 'market.hedge.delta: expected a number, got bool'),
+    ("heston", {"market.hedge.extra": 1}, 'market.hedge.extra: unknown key'),
+    ("custom", {"market.hedge.delta": 0.5}, 'market.hedge.delta: unknown key'),
+    ("heston", {"market.payoff": DROP}, 'market.payoff: required'),
+    ("heston", {"market.payoff": 1}, 'market.payoff: expected an object, got int'),
+    ("heston", {"market.payoff.kind": "put"},
+     "market.payoff.kind: expected 'constant' or 'capped_call'"),
+    ("heston", {"market.payoff.kind": []},
+     "market.payoff.kind: expected 'constant' or 'capped_call'"),
+    ("heston", {"market.payoff.kind": DROP},
+     "market.payoff.kind: expected 'constant' or 'capped_call'"),
+    ("heston", {"market.payoff.strike": 0.0}, 'market.payoff.strike: must be > 0.0, got 0.0'),
+    ("heston", {"market.payoff.strike": DROP},
+     'market.payoff.strike: expected a number, got NoneType'),
+    ("heston", {"market.payoff.cap": -1}, 'market.payoff.cap: must be > 0.0, got -1.0'),
+    ("heston", {"market.payoff.extra": 1}, 'market.payoff.extra: unknown key'),
+    ("black_scholes", {"market.payoff.value": DROP},
+     'market.payoff.value: expected a number, got NoneType'),
+    ("black_scholes", {"market.payoff.value": "x"},
+     'market.payoff.value: expected a number, got str'),
+    ("black_scholes", {"market.payoff.strike": 100}, 'market.payoff.strike: unknown key'),
+    ("heston", {"defaults": 1}, 'defaults: expected an object, got int'),
+    ("heston", {"defaults.extra": 1}, 'defaults.extra: unknown key'),
+    ("heston", {"defaults.investor": 1}, 'defaults.investor: expected an object, got int'),
+    ("heston", {"defaults.investor.extra": 1}, 'defaults.investor.extra: unknown key'),
+    ("heston", {"defaults.investor.intensity": DROP}, 'defaults.investor.intensity: required'),
+    ("heston", {"defaults.investor.intensity": -0.1},
+     'defaults.investor.intensity: must be >= 0.0, got -0.1'),
+    ("heston", {"defaults.counterparty.intensity": _pw([0.25], [0.1, -0.2])},
+     'defaults.counterparty.intensity.values[1]: must be >= 0.0, got -0.2'),
+    ("heston", {"defaults.investor.threshold": DROP},
+     'defaults.investor.threshold: expected an object, got NoneType'),
+    ("heston", {"defaults.investor.threshold.extra": 1},
+     'defaults.investor.threshold.extra: unknown key'),
+    ("heston", {"defaults.investor.threshold.shape": 0},
+     'defaults.investor.threshold.shape: must be > 0.0, got 0.0'),
+    ("heston", {"defaults.investor.threshold.rate": DROP},
+     'defaults.investor.threshold.rate: expected a number, got NoneType'),
+    ("heston", {"defaults.investor.intensity": -1, "defaults.investor.threshold": DROP},
+     'defaults.investor.threshold: expected an object, got NoneType'),
+    ("heston", {"defaults.investor.intensity": -1, "defaults.investor.threshold.shape": 0},
+     'defaults.investor.intensity: must be >= 0.0, got -1.0'),
+    ("heston", {"grid": None}, 'grid: expected an object, got NoneType'),
+    ("heston", {"grid.extra": 1}, 'grid.extra: unknown key'),
+    ("heston", {"grid.t0": "x"}, 'grid.t0: expected a number, got str'),
+    ("heston", {"grid.T": DROP}, 'grid.T: required'),
+    ("heston", {"grid.T": 0.0}, 'grid.T: must exceed grid.t0 = 0.0, got 0.0'),
+    ("heston", {"grid.n_steps": 0}, 'grid.n_steps: must be >= 1, got 0'),
+    ("heston", {"grid.n_steps": 1.5}, 'grid.n_steps: expected an integer, got float'),
+    ("heston", {"grid.nt": 1}, 'grid.nt: must be >= 2, got 1'),
+    ("heston", {"grid.nt": 6}, 'grid.nt: nt - 1 = 5 must divide grid.n_steps = 32'),
+    ("heston", {"grid.nx": 1}, 'grid.nx: must be >= 2, got 1'),
+    ("heston", {"grid.nv": "x"}, 'grid.nv: expected an integer, got str'),
+    ("heston", {"grid.x_range": "full"}, "grid.x_range: expected 'auto' or [lo, hi]"),
+    ("heston", {"grid.x_range": [1.0, 1.0]}, 'grid.x_range: need lo < hi, got [1.0, 1.0]'),
+    ("heston", {"grid.x_range": [0, "a"]}, 'grid.x_range[1]: expected a number, got str'),
+    ("heston", {"grid.v_range": [0.0, 0.1]}, 'grid.v_range[0]: lower bound must be positive'),
+    ("heston", {"grid.v_range": [0.1]}, "grid.v_range: expected 'auto' or [lo, hi]"),
+    ("heston", {"grid.T": 0.0, "grid.n_steps": 0}, 'grid.T: must exceed grid.t0 = 0.0, got 0.0'),
+    ("heston", {"grid.nt": 6, "grid.nx": 1}, 'grid.nt: nt - 1 = 5 must divide grid.n_steps = 32'),
+    ("heston", {"mc": []}, 'mc: expected an object, got list'),
+    ("heston", {"mc.extra": 1}, 'mc.extra: unknown key'),
+    ("heston", {"mc.n_paths": 1}, 'mc.n_paths: must be >= 2, got 1'),
+    ("heston", {"mc.master_seed": -1}, 'mc.master_seed: must be >= 0, got -1'),
+    ("heston", {"mc.master_seed": 1.0}, 'mc.master_seed: expected an integer, got float'),
+    ("heston", {"solver": "x"}, 'solver: expected an object, got str'),
+    ("heston", {"solver.time_slabs": 2}, 'solver.time_slabs: unknown key'),
+    ("heston", {"solver.max_iter": 0}, 'solver.max_iter: must be >= 1, got 0'),
+    ("heston", {"solver.tol": 0.0}, 'solver.tol: must be > 0.0, got 0.0'),
+    ("heston", {"solver.gamma": "x"}, 'solver.gamma: expected an object, got str'),
+    ("heston", {"solver.tol": 0, "solver.max_iter": 0}, 'solver.tol: must be > 0.0, got 0.0'),
+]
+
+
+@pytest.mark.parametrize("base, edits, expected", GOLDEN_CASES)
+def test_config_golden(base, edits, expected):
+    cfg = _edited(base, edits)
+    try:
+        norm = normalise_config(cfg)
+        build_run(norm)
+    except ConfigError as exc:
+        assert str(exc) == expected
+        return
+    assert expected.startswith("{"), f"accepted, but expected {expected!r}"
+    assert emit_config(norm) == json.dumps(json.loads(expected), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payoff, band", [
+    ({"kind": "capped_call", "strike": 100.0, "cap": 30.0}, (0.0, 30.0)),
+    ({"kind": "constant", "value": 2.5}, (0.0, 2.5)),
+    ({"kind": "constant", "value": 0.0}, (0.0, 0.0)),
+    ({"kind": "constant", "value": -0.5}, None),
+])
+def test_payoff_band_comes_with_the_payoff_kind(payoff, band):
+    cfg = full_xva_config()
+    cfg["market"]["payoff"] = payoff
+    assert build_run(normalise_config(cfg)).payoff_band == band
+
+
 def test_build_run_assembles_models_and_spec():
     setup = build_run(normalise_config(full_xva_config()))
     assert setup.s0 == 100.0 and setup.v0 == 0.04
@@ -261,6 +660,98 @@ def test_fuzzed_time_functions_run_or_exit_with_a_code(investor, counterparty, r
         code = main(["defaults", "--config", write_cfg(Path(tmp), cfg),
                      "--out", str(Path(tmp) / "o")])
     assert code in (0, 1, 2)
+
+
+# Draws come from the schema's own tables: every kind a table names and every
+# field it lists, each absent, of its type or junk, and values out of range.
+NUMBER = st.one_of(
+    st.floats(0.05, 0.95),
+    st.floats(0.05, 0.95),
+    st.floats(-1.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1e-9, 1.0, 100.0, 1e308, -1e308, math.inf, math.nan]),
+)
+INTEGER = st.one_of(st.sampled_from([2, 3, 5, 9, 17, 33, 64]), st.integers(-1, 40))
+JUNK = st.sampled_from([None, True, "x", "auto", [], {}, {"kind": "zero"}, [1.0, "a"]])
+
+
+def _typed(default, check):
+    """A value of the type ``check`` takes, in range or not."""
+    base, keywords = getattr(check, "func", check), getattr(check, "keywords", {})
+    if base is config._kinded:
+        return kinded(keywords["table"])
+    if base is config._section:
+        return fuzzed_section(keywords["fields"])
+    if base is config._optional:
+        return st.one_of(st.none(), _typed(default, keywords["check"]))
+    if base is config._array_of:
+        return st.lists(_typed(None, keywords["check"]), max_size=3)
+    if base is config._timefn_cfg:
+        return st.one_of(NUMBER, piecewise_constant(-1.0, 2.0))
+    if base is config._int:
+        return INTEGER
+    if base is config._bool:
+        return st.booleans()
+    if base is config._norm_range:
+        return st.one_of(st.just("auto"), st.lists(NUMBER, min_size=2, max_size=2))
+    return NUMBER
+
+
+# per field: junk, absent (the default, or a missing required field), or of its type
+OPTIONAL_PICK = st.sampled_from(["typed"] * 6 + ["absent"] * 9 + ["junk"])
+REQUIRED_PICK = st.sampled_from(["typed"] * 30 + ["absent", "junk"])
+
+
+@st.composite
+def fuzzed_section(draw, fields):
+    out = {}
+    for key, default, check in (f for f in fields if not callable(f)):
+        pick = draw(REQUIRED_PICK if default in (None, config._REQUIRED) else OPTIONAL_PICK)
+        if pick != "absent":
+            out[key] = draw(JUNK if pick == "junk" else _typed(default, check))
+    if draw(st.sampled_from(range(20))) == 19:
+        out["unknown"] = 1
+    return out
+
+
+@st.composite
+def kinded(draw, table, tag="kind", common=()):
+    kind = draw(st.sampled_from([*table] * 5 + [[]]))  # a list kind must not crash the lookup
+    fields = table[kind].fields if kind in list(table) else ()
+    if callable(fields):  # a piecewise_constant dividend is a time function
+        return draw(piecewise_constant(-1.0, 1.0))
+    return {tag: kind, **draw(fuzzed_section((*common, *fields)))}
+
+
+@st.composite
+def fuzzed_config(draw):
+    """Each section fuzzed, or a valid one from a golden base so later sections get checked."""
+    times = ((key, config._REQUIRED if key == "rate" else 0.0, None) for key in config._TIME_KEYS)
+    fuzzed = {
+        "model": kinded(config._PRESETS, "preset", config._MODEL_COMMON),
+        "market": fuzzed_section((*times, *config._MARKET_TERMS)),
+        "grid": fuzzed_section(config._GRID),
+        "mc": fuzzed_section(config._MC),
+        "solver": fuzzed_section(config._SOLVER),
+    }
+    return {
+        key: draw(st.one_of(drawn, st.sampled_from([b.get(key) for b in GOLDEN_BASES.values()])))
+        for key, drawn in fuzzed.items()
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=fuzzed_config())
+def test_fuzzed_configs_reach_a_fixed_point_and_build_or_raise_config_error(cfg):
+    try:
+        norm = normalise_config(cfg)
+    except ConfigError:
+        return
+    again = normalise_config(json.loads(emit_config(norm)))
+    assert emit_config(again) == emit_config(norm)
+    try:
+        build_run(again)
+    except ConfigError:
+        pass
 
 
 # -- simulate -----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import sys
 import time
@@ -23,7 +24,6 @@ from xvamild.mildsolver import (
     comparison_check,
     linear_oracle,
     lipschitz_budget,
-    load_grid,
     pde_residual,
     picard_solve,
     refine_point,
@@ -170,9 +170,10 @@ def test_grid_cache_roundtrip_deterministic(tmp_path):
     save_grid(g, p1)
     save_grid(g, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    back = load_grid(p1)
-    assert np.array_equal(back.values, g.values)
-    assert np.array_equal(back.t_nodes, g.t_nodes)
+    with np.load(p1) as back:
+        assert json.loads(back["header.json"]) == {"kind": "gridfunction"}
+        assert np.array_equal(back["values"], g.values)
+        assert np.array_equal(back["t_nodes"], g.t_nodes)
 
 
 def test_write_grid_csv_full_precision():
