@@ -100,10 +100,12 @@ def _bool(val, path: str) -> bool:
     return val
 
 
-def _timefn_cfg(val, path: str, lo=None):
-    """Validate a constant-or-piecewise time function, return canonical form."""
+def _timefn_cfg(val, path: str, check=_num):
+    """Validate a constant-or-piecewise time function, return canonical form.
+
+    ``check`` validates the constant, or each piecewise value."""
     if isinstance(val, (int, float)) and not isinstance(val, bool):
-        return _num(val, path, lo=lo)
+        return check(val, path)
     obj = _obj(val, path)
     _reject_unknown(obj, path, {"kind", "times", "values"})
     kind = obj.get("kind")
@@ -118,7 +120,7 @@ def _timefn_cfg(val, path: str, lo=None):
     if not isinstance(values, list):
         raise ConfigError(f"{path}.values", "expected an array of numbers")
     ts = [_num(t, f"{path}.times[{i}]") for i, t in enumerate(times)]
-    vs = [_num(v, f"{path}.values[{i}]", lo=lo) for i, v in enumerate(values)]
+    vs = [check(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ConfigError(f"{path}.times", "must be strictly increasing")
     if len(vs) != len(ts) + 1:
@@ -220,7 +222,7 @@ _POSITIVE = partial(_num, lo=0.0, lo_strict=True)
 _OPTIONAL_POSITIVE = partial(_optional, check=_POSITIVE)
 _NON_NEGATIVE = partial(_num, lo=0.0)
 _FRACTION = partial(_num, lo=0.0, hi=1.0)
-_TIMEFN_NON_NEGATIVE = partial(_timefn_cfg, lo=0.0)
+_TIMEFN_NON_NEGATIVE = partial(_timefn_cfg, check=_NON_NEGATIVE)
 
 
 def _correlation(val, path: str) -> float:
@@ -238,6 +240,8 @@ def _sigma_or_v0(out: dict, path: str) -> None:
         sigma = math.sqrt(v0)
     if v0 is None:
         v0 = sigma * sigma
+        if not 0.0 < v0 < math.inf:  # v0 is emitted, and must pass its own check
+            raise ConfigError(f"{path}.sigma", f"sigma^2 must be positive and finite, got {v0}")
     if abs(v0 - sigma * sigma) > 1e-12 * max(1.0, v0):
         raise ConfigError(f"{path}.v0", f"inconsistent with sigma^2 = {sigma * sigma}")
     out.update(sigma=sigma, v0=v0)
@@ -336,11 +340,11 @@ _POWER_FIELDS = (
     ("l0", 0.0, _TIMEFN_NON_NEGATIVE),
     ("theta0", 0.0, _timefn_cfg),
     ("theta1", 0.0, _timefn_cfg),
-    ("rho", 0.0, _timefn_cfg),
-    ("l", [], partial(_array_of, check=_timefn_cfg)),
+    ("rho", 0.0, partial(_timefn_cfg, check=_correlation)),
+    ("l", [], partial(_array_of, check=partial(_timefn_cfg, check=partial(_num, hi=0.0)))),
     ("lam", [], partial(_array_of, check=_timefn_cfg)),
-    ("alpha", [], partial(_array_of, check=_num)),
-    ("beta", [], partial(_array_of, check=_num)),
+    ("alpha", [], partial(_array_of, check=partial(_num, lo=1.0))),
+    ("beta", [], partial(_array_of, check=partial(_num, lo=0.5))),
     _paired("l", "alpha"),
     _paired("lam", "beta"),
 )
@@ -454,7 +458,7 @@ def _norm_party(raw, path: str) -> Optional[dict]:
     thr = _obj(obj.get("threshold", None), f"{path}.threshold")
     _reject_unknown(thr, f"{path}.threshold", _keys(_THRESHOLD))
     return {
-        "intensity": _timefn_cfg(obj["intensity"], f"{path}.intensity", lo=0.0),
+        "intensity": _TIMEFN_NON_NEGATIVE(obj["intensity"], f"{path}.intensity"),
         "threshold": _fields(thr, f"{path}.threshold", _THRESHOLD),
     }
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .special import GammaParams, gamma_hazard_factor, gamma_survival
 from .simulate import TimeGrid
-from .volmodel import InvariantError, as_time_fn, on_times
+from .volmodel import InvariantError, on_times
 
 _PARTIES = ("investor", "counterparty")
 
@@ -35,9 +35,6 @@ class PartyDefault:
 
     intensity: object
     threshold: GammaParams
-
-    def intensity_fn(self):
-        return as_time_fn(self.intensity)
 
 
 @dataclass(frozen=True)

@@ -156,17 +156,13 @@ def _euler_step(model: VolModel, table, k: int, t: float, x, v, dt: float, dw, d
     """One Euler step of the float arrays (x, v), in place, from time t with
     row k of the step table.
 
-    The coefficients come from the model's joint route when it has one,
-    else from its three callables.  work holds ``WORK_PLANES`` planes of
-    x's shape; the joint route fills work[0:3], and work[3] and work[4]
-    carry the increments, so a step allocates no plane.  Each update adds
-    its terms in the order of x + drift * dt + diffusion.
+    work holds ``WORK_PLANES`` planes of x's shape; the model's
+    coefficient function may fill work[0:3], and work[3] and work[4] carry
+    the increments, so a step allocates no plane.  Each update adds its
+    terms in the order of x + drift * dt + diffusion.
     """
     b, rho, c_w = table[0][k], table[1][k], table[2][k]
-    if model.coefficients is None:
-        theta, zeta, eta = model.vol_of_price(t, v), model.drift_v(t, v), model.vol_of_v(t, v)
-    else:
-        theta, zeta, eta = model.coefficients(t, v, work)
+    theta, zeta, eta = model.coefficients(t, v, work)
     dv, inc = work[3], work[4]
     np.multiply(eta, dwt, out=dv)  # before v moves: a custom eta may be v itself
     np.multiply(0.5, theta, out=inc)

@@ -289,15 +289,6 @@ def driver_boundary_check(
 # -- finite-variation part of the value process --------------------------------
 
 
-def a_process_increment(spec: MarketSpec, curve: SurvivalCurve, t: float, state):
-    """Density of the drift part A at time t along the state (s, v, y).
-
-    Equals joint survival times (driver + (rate - g_I - g_C) * y); the
-    survival comes from the supplied curve, the slopes from the spec.
-    """
-    return _a_increment(spec, curve.joint_at(t), _driver_rates(spec, t), t, state)
-
-
 def _a_increment(spec: MarketSpec, g: float, terms, t: float, state):
     """The A density at time t, given joint survival g and ``_driver_rates`` at t."""
     s, v, y = state

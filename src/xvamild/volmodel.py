@@ -1,37 +1,30 @@
 """Volatility model coefficients, the positive power family, measure changes.
 
-A model is a bundle of coefficient callables for the two-factor dynamics
+A model is one coefficient function for the two-factor dynamics
 
     dX_t = (b(t) - theta(t, V_t)^2 / 2) dt
          + theta(t, V_t) (sqrt(1 - rho(t)^2) dW_t + rho(t) dW~_t)
     dV_t = zeta(t, V_t) dt + eta(t, V_t) dW~_t
 
-where X is the log price and V the variance factor.  Coefficients must be
-defined on all of R in the v argument; the power family below extends its
+where X is the log price and V the variance factor.  The function returns
+(theta, zeta, eta) at once and may write them into ``WORK_PLANES`` planes
+that the caller allocates once per block of paths, so an Euler step
+allocates no array of the state's size.  Coefficients must be defined on
+all of R in the v argument; the power family below extends its
 coefficients radially (|v| inside theta and eta, v clamped at zero inside
 zeta), so the Euler stepper never needs to truncate the state.
-
-A power-family model also carries ``coefficients``, one joint route that
-forms |v|, sqrt(|v|) and max(v, 0) once and returns (theta, zeta, eta) with
-every term in the order the three callables use, so the Euler step gets
-the same bits from one pass.  It writes into ``WORK_PLANES`` planes that
-the caller allocates once per block of paths, so a step allocates no
-array of the state's size.  The route is not a constructor field:
-``dataclasses.replace`` drops it, so a model whose coefficients were
-replaced, like a custom ``VolModel``, steps through its three callables.
-:func:`measure_change` keeps it only when the vol-of-vol premium is zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 TimeFn = Callable[[float], float]
-WORK_PLANES = 5  # planes of the state's shape that a joint coefficient route may write
+WORK_PLANES = 5  # planes of the state's shape that a coefficient function may write
 
 
 class InvariantError(ValueError):
@@ -75,31 +68,39 @@ def sampled_inf(value, horizon: float) -> float:
 
 @dataclass
 class VolModel:
-    """Coefficient bundle for the two-factor dynamics.
+    """Coefficient function and regularity data for the two-factor dynamics.
 
-    ``vol_of_price``, ``drift_v`` and ``vol_of_v`` take (t, v) with v a
-    scalar or ndarray and must broadcast.  ``theta_continuous`` and
-    ``theta_vanishes_at_zero`` are user-asserted regularity flags consumed
-    by :func:`measure_change` when the vol-of-vol risk premium is nonzero.
-    ``drift_envelope`` (k, l) bounds sgn(v) * zeta(t, v) <= k(t) + l(t)|v|;
-    ``theta_envelope`` (k, lam) bounds |theta(t, v)| <= k(t) + lam(t)
-    sqrt(v+).  Either may be None when no envelope is known.
-    ``coefficients`` is the joint route (t, v, work) -> (theta, zeta, eta)
-    or None, with work a float array of ``WORK_PLANES`` planes of v's shape;
-    the results are work[0:3] and the other planes are scratch.  It is set
-    after construction and never copied by ``replace``.
+    ``coefficients(t, v, work=None)`` returns (theta, zeta, eta) at (t, v),
+    with v a scalar or ndarray.  work, when given, is a float array of
+    ``WORK_PLANES`` planes of v's shape that the function may write: its
+    results may be work[0:3], and the other planes are scratch.
+    ``theta_continuous`` and ``theta_vanishes_at_zero`` are user-asserted
+    regularity flags consumed by :func:`measure_change` when the
+    vol-of-vol risk premium is nonzero.  ``drift_envelope`` (k, l) bounds
+    sgn(v) * zeta(t, v) <= k(t) + l(t)|v|; ``theta_envelope`` (k, lam)
+    bounds |theta(t, v)| <= k(t) + lam(t) sqrt(v+).  Either may be None
+    when no envelope is known.
     """
 
     drift_b: TimeFn
-    vol_of_price: Callable
-    drift_v: Callable
-    vol_of_v: Callable
+    coefficients: Callable
     correlation: TimeFn
     theta_continuous: bool = False
     theta_vanishes_at_zero: bool = False
     drift_envelope: Optional[tuple] = None
     theta_envelope: Optional[tuple] = None
-    coefficients: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+
+    def vol_of_price(self, t, v):
+        """theta(t, v)."""
+        return self.coefficients(t, v)[0]
+
+    def drift_v(self, t, v):
+        """zeta(t, v)."""
+        return self.coefficients(t, v)[1]
+
+    def vol_of_v(self, t, v):
+        """eta(t, v)."""
+        return self.coefficients(t, v)[2]
 
     def theta_hat(self, t, v):
         """vol_of_price evaluated at the positive part of v."""
@@ -186,27 +187,15 @@ def build_power_model(params: PowerParams, horizon: float = 1.0) -> VolModel:
     theta0 = as_time_fn(params.theta0)
     theta1 = as_time_fn(params.theta1)
 
-    def zeta(t, v):
-        vp = np.maximum(v, 0.0)
-        out = k(t) - l0(t) * vp
-        for li, a in zip(ls, alphas):
-            out = out + li(t) * vp**a
-        return out
-
-    def eta(t, v):
-        av = np.abs(v)
-        out = 0.0
-        for li, b in zip(lams, betas):
-            out = out + li(t) * av**b
-        return out if lams else np.zeros_like(np.asarray(v, dtype=float))
-
-    def theta(t, v):
-        return theta0(t) + theta1(t) * np.sqrt(np.abs(v))
-
-    def coefficients(t, v, work):
-        # theta, zeta and eta above, term for term, into work[0:3]; |v|, then
-        # v+, in work[3], and a product in work[4].  numpy takes a float array
-        # to the power 0.5 by sqrt, so theta's plane holds sqrt(|v|) for both.
+    def coefficients(t, v, work=None):
+        # The PowerParams formulas into work[0:3]; |v|, then v+, in work[3],
+        # and a product in work[4].  numpy takes a float array to the power
+        # 0.5 by sqrt, so theta's plane holds sqrt(|v|) for both theta and
+        # a beta = 1/2 term.  A scalar v gets 0-d planes, since out= takes
+        # no numpy scalar.
+        if work is None:
+            planes = np.empty((WORK_PLANES,) + np.shape(v))
+            work = [planes[i, ...] for i in range(WORK_PLANES)]
         theta, zeta, eta, part, term = work
         np.sqrt(np.abs(v, out=part), out=theta)
         eta.fill(0.0)
@@ -220,19 +209,15 @@ def build_power_model(params: PowerParams, horizon: float = 1.0) -> VolModel:
         return theta, zeta, eta
 
     vanishes = sampled_sup(theta0, horizon) == 0.0
-    model = VolModel(
+    return VolModel(
         drift_b=as_time_fn(params.drift_b),
-        vol_of_price=theta,
-        drift_v=zeta,
-        vol_of_v=eta,
+        coefficients=coefficients,
         correlation=as_time_fn(params.rho),
         theta_continuous=True,
         theta_vanishes_at_zero=vanishes,
         drift_envelope=(k, lambda t: -l0(t)),
         theta_envelope=(lambda t: abs(theta0(t)), lambda t: abs(theta1(t))),
     )
-    model.coefficients = coefficients
-    return model
 
 
 def black_scholes_params(drift_b=0.0) -> PowerParams:
@@ -304,33 +289,16 @@ def measure_change(model: VolModel, rate, gamma, horizon: float = 1.0) -> VolMod
                 "nonzero vol-of-vol premium requires theta_vanishes_at_zero to be asserted"
             )
 
-    base_zeta = model.drift_v
+    base = model.coefficients
 
-    def premium(t, v, zeta):
+    def coefficients(t, v, work=None):
+        theta, zeta, eta = base(t, v, work)
         g = gamma_fn(t)
         if g != 0.0:
-            zeta = zeta - g * model.eta_hat(t, v) * model.theta_hat(t, v)
-        return zeta
-
-    def zeta_q(t, v):
-        return premium(t, v, base_zeta(t, v))
+            theta_hat, _, eta_hat = base(t, np.maximum(v, 0.0))
+            zeta = zeta - g * eta_hat * theta_hat
+        return theta, zeta, eta
 
     # The drift envelope does not survive a nonzero premium in general.
     envelope = model.drift_envelope if gamma_sup == 0.0 else None
-    changed = replace(
-        model,
-        drift_b=rate_fn,
-        drift_v=zeta_q,
-        drift_envelope=envelope,
-    )
-    joint = model.coefficients
-    if joint is not None and gamma_sup == 0.0:
-        # premium() still reads gamma at every step, so a premium between the
-        # sampled times reaches this route too
-
-        def coefficients_q(t, v, work):
-            theta, zeta, eta = joint(t, v, work)
-            return theta, premium(t, v, zeta), eta
-
-        changed.coefficients = coefficients_q
-    return changed
+    return replace(model, drift_b=rate_fn, coefficients=coefficients, drift_envelope=envelope)

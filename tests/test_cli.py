@@ -31,6 +31,7 @@ from xvamild.defaultclock import (
     survival_curve,
 )
 from xvamild.simulate import TimeGrid
+from xvamild.volmodel import as_time_fn
 
 
 def full_xva_config():
@@ -363,7 +364,7 @@ GOLDEN_CASES = [
     ("custom", {"model.params.l": 1.0}, 'model.params.l: expected an array'),
     ("custom", {"model.params.l": [-0.1, "x"]}, 'model.params.l[1]: expected an object, got str'),
     ("custom", {"model.params.alpha": {}}, 'model.params.alpha: expected an array'),
-    ("custom", {"model.params.alpha": [1.0, 0.5]},
+    ("custom", {"model.params.alpha": [1.0, 2.0]},
      'model.params.alpha: must pair one exponent per l term'),
     ("custom", {"model.params.alpha": ["x"]}, 'model.params.alpha[0]: expected a number, got str'),
     ("custom", {"model.params.lam": [None]},
@@ -374,10 +375,10 @@ GOLDEN_CASES = [
     ("custom", {"model.params.beta": [0.5]},
      'model.params.beta: must pair one exponent per lam term'),
     ("custom", {"model.params.beta": None}, 'model.params.beta: expected an array'),
-    ("custom", {"model.params.alpha": [0.5]}, 'model: alpha[0] must satisfy alpha >= 1, got 0.5'),
-    ("custom", {"model.params.l": [0.1]}, 'model: l[0] must be non-positive, got 0.1 at t=0.0'),
+    ("custom", {"model.params.alpha": [0.5]}, 'model.params.alpha[0]: must be >= 1.0, got 0.5'),
+    ("custom", {"model.params.l": [0.1]}, 'model.params.l[0]: must be <= 0.0, got 0.1'),
     ("custom", {"model.params.rho": _pw([0.5], [0.5, 1.5])},
-     'model: rho must stay inside (-1, 1), got 1.5 at t=0.5'),
+     'model.params.rho.values[1]: must be <= 1.0, got 1.5'),
     ("custom", {"solver.gamma": 0.2},
      'solver.gamma: nonzero vol-of-vol premium requires theta_vanishes_at_zero to be asserted'),
     ("custom", {"model.v0": DROP}, 'model.v0: expected a number, got NoneType'),
@@ -535,6 +536,15 @@ GOLDEN_CASES = [
     ("heston", {"solver.tol": 0.0}, 'solver.tol: must be > 0.0, got 0.0'),
     ("heston", {"solver.gamma": "x"}, 'solver.gamma: expected an object, got str'),
     ("heston", {"solver.tol": 0, "solver.max_iter": 0}, 'solver.tol: must be > 0.0, got 0.0'),
+    # the power family's ranges, checked where the field is read
+    ("custom", {"model.params.beta": [0.3]}, 'model.params.beta[0]: must be >= 0.5, got 0.3'),
+    ("custom", {"model.params.rho": -1.0}, 'model.params.rho: must lie strictly inside (-1, 1)'),
+    ("custom", {"model.params.l": [-0.1, _pw([0.5], [-0.2, 0.1])]},
+     'model.params.l[1].values[1]: must be <= 0.0, got 0.1'),
+    ("black_scholes", {"model.sigma": 1e-200},
+     'model.sigma: sigma^2 must be positive and finite, got 0.0'),
+    ("black_scholes", {"model.sigma": 1e200},
+     'model.sigma: sigma^2 must be positive and finite, got inf'),
 ]
 
 
@@ -571,7 +581,7 @@ def test_build_run_assembles_models_and_spec():
     assert float(setup.model_p.drift_b(0.1)) == pytest.approx(0.02)
     assert setup.spec.defaults is not None
     # piecewise intensity steps at t = 0.25
-    lam = setup.spec.defaults.counterparty.intensity_fn()
+    lam = as_time_fn(setup.spec.defaults.counterparty.intensity)
     assert float(lam(0.1)) == 0.15 and float(lam(0.4)) == 0.2
 
 

@@ -22,6 +22,7 @@ from xvamild.volmodel import (
     InvariantError,
     PowerParams,
     VolModel,
+    as_time_fn,
     black_scholes_params,
     build_power_model,
     garch_params,
@@ -179,9 +180,7 @@ def test_increment_correlation_recovered():
     rho = 0.6
     model = VolModel(
         drift_b=lambda t: 0.0,
-        vol_of_price=lambda t, v: 0.3,
-        drift_v=lambda t, v: np.zeros_like(np.asarray(v, dtype=float)),
-        vol_of_v=lambda t, v: 0.2,
+        coefficients=lambda t, v, work=None: (0.3, 0.0, 0.2),
         correlation=lambda t: rho,
     )
     grid = TimeGrid(0.0, 1.0, 20)
@@ -238,9 +237,7 @@ def test_moment_report_requires_envelopes():
 def test_invalid_path_budget_enforced():
     model = VolModel(
         drift_b=lambda t: 0.0,
-        vol_of_price=lambda t, v: 1e200,
-        drift_v=lambda t, v: np.zeros_like(np.asarray(v, dtype=float)),
-        vol_of_v=lambda t, v: 0.0,
+        coefficients=lambda t, v, work=None: (1e200, 0.0, 0.0),
         correlation=lambda t: 0.0,
     )
     with pytest.raises(InvalidPathBudgetError):
@@ -254,7 +251,7 @@ def test_start_state_validation():
         simulate_paths(bs_model(), (0.0, 0.04), TimeGrid(0.0, 1.0, 5), 10, -4)
 
 
-# -- the power family's joint coefficient route ------------------------------------
+# -- the power family's coefficient function against its formulas -----------------
 
 STEP_PARAMS = {
     "heston": heston_params(k=0.05, l0=1.0, lam=0.3, rho=-0.5, drift_b=0.02),
@@ -276,6 +273,57 @@ V_EDGE = np.array([
 ])
 
 
+def reference_coefficients(params, gamma=None):
+    """(theta, zeta, eta) of the power family as three functions of (t, v),
+    one numpy expression per PowerParams formula, plus the vol-of-vol
+    premium -gamma(t) eta(t, v+) theta(t, v+) in zeta when gamma is given.
+    The model's coefficient function must give these bits."""
+    k, l0 = as_time_fn(params.k), as_time_fn(params.l0)
+    ls = [as_time_fn(li) for li in params.l]
+    alphas = [float(a) for a in params.alpha]
+    lams = [as_time_fn(li) for li in params.lam]
+    betas = [float(b) for b in params.beta]
+    theta0, theta1 = as_time_fn(params.theta0), as_time_fn(params.theta1)
+
+    def zeta(t, v):
+        vp = np.maximum(v, 0.0)
+        out = k(t) - l0(t) * vp
+        for li, a in zip(ls, alphas):
+            out = out + li(t) * vp**a
+        return out
+
+    def eta(t, v):
+        av = np.abs(v)
+        out = 0.0
+        for li, b in zip(lams, betas):
+            out = out + li(t) * av**b
+        return out if lams else np.zeros_like(np.asarray(v, dtype=float))
+
+    def theta(t, v):
+        return theta0(t) + theta1(t) * np.sqrt(np.abs(v))
+
+    if gamma is None:
+        return theta, zeta, eta
+    gamma_fn = as_time_fn(gamma)
+
+    def zeta_q(t, v):
+        out, g = zeta(t, v), gamma_fn(t)
+        if g != 0.0:
+            vp = np.maximum(v, 0.0)
+            out = out - g * eta(t, vp) * theta(t, vp)
+        return out
+
+    return theta, zeta_q, eta
+
+
+def priced(name, gamma):
+    """The STEP_PARAMS model under measure_change at rate 0.03, its theta
+    asserted to vanish at v = 0 so that every member takes a premium."""
+    model = build_power_model(STEP_PARAMS[name], horizon=1.0)
+    model = dataclasses.replace(model, theta_vanishes_at_zero=True)
+    return measure_change(model, 0.03, gamma, horizon=1.0)
+
+
 def step_states(seed=5):
     rng = np.random.default_rng(seed)
     v = np.stack([V_EDGE, np.abs(rng.standard_normal(V_EDGE.size)) * 0.05,
@@ -285,16 +333,17 @@ def step_states(seed=5):
     return x, v, dw, dwt
 
 
-def reference_step(model, table, k, t, x, v, dt, dw, dwt):
-    """The Euler step through the three callables, as one expression per state."""
+def reference_step(reference, table, k, t, x, v, dt, dw, dwt):
+    """The Euler step through the reference coefficients, as one expression per state."""
     b, rho, c_w = table[0][k], table[1][k], table[2][k]
-    theta, zeta, eta = model.vol_of_price(t, v), model.drift_v(t, v), model.vol_of_v(t, v)
+    theta, zeta, eta = (f(t, v) for f in reference)
     return (x + (b - 0.5 * theta * theta) * dt + theta * (c_w * dw + rho * dwt),
             v + zeta * dt + eta * dwt)
 
 
-def stepped(model, t_steps, dt=0.01):
-    """Each step of _euler_step from the same states, at each time, as bytes."""
+def stepped(model, reference, t_steps, dt=0.01):
+    """Each step of _euler_step and of reference_step from the same states,
+    at each time, as bytes."""
     x0, v0, dw, dwt = step_states()
     table = simulate._step_table(model, t_steps)
     work = np.empty((WORK_PLANES,) + x0.shape)
@@ -304,7 +353,7 @@ def stepped(model, t_steps, dt=0.01):
             x, v = x0.copy(), v0.copy()
             simulate._euler_step(model, table, k, t, x, v, dt, dw, dwt, work)
             out.append(x.tobytes() + v.tobytes())
-            xr, vr = reference_step(model, table, k, t, x0, v0, dt, dw, dwt)
+            xr, vr = reference_step(reference, table, k, t, x0, v0, dt, dw, dwt)
             ref.append(xr.tobytes() + vr.tobytes())
     return out, ref
 
@@ -315,42 +364,57 @@ T_STEPS = np.array([0.0, 0.1875, 0.5, 0.9])
 @pytest.mark.parametrize("name", sorted(STEP_PARAMS))
 @pytest.mark.parametrize("pricing", [False, True])
 def test_joint_coefficients_step_bit_for_bit_like_the_callables(name, pricing):
-    model = build_power_model(STEP_PARAMS[name], horizon=1.0)
-    if pricing:
-        model = measure_change(model, 0.03, 0.0, horizon=1.0)
-    assert model.coefficients is not None
-    out, ref = stepped(model, T_STEPS)
-    assert out == ref
+    # pricing: under measure_change, without and with a vol-of-vol premium
+    models = ([(priced(name, g), g) for g in (0.0, 0.2)] if pricing
+              else [(build_power_model(STEP_PARAMS[name], horizon=1.0), None)])
     _, v, _, _ = step_states()
     work = np.empty((WORK_PLANES,) + v.shape)
-    with np.errstate(all="ignore"):
-        for t in T_STEPS:
-            calls = (model.vol_of_price(t, v), model.drift_v(t, v), model.vol_of_v(t, v))
-            for got, want in zip(model.coefficients(t, v, work), calls):
-                assert got.tobytes() == want.tobytes()
-    generic = dataclasses.replace(model)  # replace drops the joint route
-    assert generic.coefficients is None
-    assert stepped(generic, T_STEPS)[0] == ref
+    for model, gamma in models:
+        reference = reference_coefficients(STEP_PARAMS[name], gamma)
+        out, ref = stepped(model, reference, T_STEPS)
+        assert out == ref
+        with np.errstate(all="ignore"):
+            for t in T_STEPS:
+                want = [f(t, v) for f in reference]
+                methods = (model.vol_of_price(t, v), model.drift_v(t, v), model.vol_of_v(t, v))
+                for got in (model.coefficients(t, v, work), model.coefficients(t, v), methods):
+                    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_a_premium_between_the_sampled_times_reaches_the_joint_route():
-    model = build_power_model(STEP_PARAMS["heston"], horizon=1.0)
-    late = measure_change(model, 0.03, lambda t: np.where(np.asarray(t) > 0.5, 0.4, 0.0),
-                          horizon=0.5)
-    assert late.coefficients is not None  # gamma is zero on the sampled [0, 0.5]
-    out, ref = stepped(late, T_STEPS)
+    # gamma is zero on the sampled [0, 0.5], so measure_change keeps the drift
+    # envelope, yet the premium acts in the step at t = 0.9
+    params = STEP_PARAMS["heston"]
+    model = build_power_model(params, horizon=1.0)
+
+    def late_gamma(t):
+        return np.where(np.asarray(t) > 0.5, 0.4, 0.0)
+
+    late = measure_change(model, 0.03, late_gamma, horizon=0.5)
+    assert late.drift_envelope is not None
+    out, ref = stepped(late, reference_coefficients(params, late_gamma), T_STEPS)
     assert out == ref
     plain = measure_change(model, 0.03, 0.0, horizon=0.5)
-    assert out[-1] != stepped(plain, T_STEPS)[0][-1]  # the premium acts at t = 0.9
+    assert out[-1] != stepped(plain, reference_coefficients(params, 0.0), T_STEPS)[0][-1]
 
 
 def test_a_premium_or_a_replaced_coefficient_steps_through_the_callables():
-    model = measure_change(build_power_model(STEP_PARAMS["heston"]), 0.03, 0.0)
-    joint_out = stepped(model, T_STEPS)[0]
-    premium = measure_change(build_power_model(STEP_PARAMS["heston"]), 0.03, 0.2)
-    flat = dataclasses.replace(model, vol_of_price=lambda t, v: 0.25 + 0.0 * np.abs(v))
-    for other in (premium, flat):
-        assert other.coefficients is None
-        out, ref = stepped(other, T_STEPS)
+    params = STEP_PARAMS["heston"]
+    model = measure_change(build_power_model(params), 0.03, 0.0)
+    plain_out = stepped(model, reference_coefficients(params, 0.0), T_STEPS)[0]
+    premium = measure_change(build_power_model(params), 0.03, 0.2)
+
+    def flat_theta(t, v):
+        return 0.25 + 0.0 * np.abs(v)
+
+    def flat_coefficients(t, v, work=None):
+        _, zeta, eta = model.coefficients(t, v, work)
+        return flat_theta(t, v), zeta, eta
+
+    flat = dataclasses.replace(model, coefficients=flat_coefficients)
+    _, zeta, eta = reference_coefficients(params, 0.0)
+    for other, reference in ((premium, reference_coefficients(params, 0.2)),
+                             (flat, (flat_theta, zeta, eta))):
+        out, ref = stepped(other, reference, T_STEPS)
         assert out == ref
-        assert all(a != b for a, b in zip(out, joint_out))
+        assert all(a != b for a, b in zip(out, plain_out))

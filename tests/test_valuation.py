@@ -19,8 +19,8 @@ from xvamild.special import (
 from xvamild.valuation import (
     MarketSpec,
     _driver_at,
+    _a_increment,
     _driver_rates,
-    a_process_increment,
     capped_call,
     constant_dividend,
     constant_payoff,
@@ -160,7 +160,7 @@ def test_a_increment_matches_quadrature_composition():
         slopes = []
         for name in ("investor", "counterparty"):
             party = spec.defaults.party(name)
-            fn = party.intensity_fn()
+            fn = as_time_fn(party.intensity)
             cum, _ = integrate.quad(fn, 0.0, t, epsabs=1e-13, epsrel=1e-13)
             g = gamma_survival(party.threshold, cum)
             surv.append(g)
@@ -171,7 +171,7 @@ def test_a_increment_matches_quadrature_composition():
         expected = joint * (b_hat + (r - slopes[0] - slopes[1]) * y)
         # equivalently b0*G - bi*G_C*Gdot_I - bc*G_I*Gdot_C after expansion
 
-        got = a_process_increment(spec, curve, t, (s, v, y))
+        got = _a_increment(spec, curve.joint_at(t), _driver_rates(spec, t), t, (s, v, y))
         assert got == pytest.approx(expected, rel=2e-6, abs=1e-9)
 
 
@@ -486,18 +486,11 @@ def test_slopes_follow_replaced_default_clocks():
 
 def test_a_increment_without_defaults_is_driver_plus_rate_term():
     spec = riskfree_spec(0.05)
-    grid = TimeGrid(0.0, 1.0, 10)
-
-    class Ones:
-        def joint_at(self, t):
-            return 1.0
-
-    got = a_process_increment(spec, Ones(), 0.3, (80.0, 0.1, 2.0))
+    terms = _driver_rates(spec, 0.3)  # joint survival 1 below: no party defaults
+    got = _a_increment(spec, 1.0, terms, 0.3, (80.0, 0.1, 2.0))
     want = driver(spec, 0.3, 80.0, 0.1, 2.0) + 0.05 * 2.0
     assert got == pytest.approx(want, abs=1e-14)
-    arr = a_process_increment(
-        spec, Ones(), 0.3, (np.full(4, 80.0), np.full(4, 0.1), np.arange(4.0))
-    )
+    arr = _a_increment(spec, 1.0, terms, 0.3, (np.full(4, 80.0), np.full(4, 0.1), np.arange(4.0)))
     assert arr.shape == (4,)
 
 
