@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -239,24 +239,15 @@ def _write_solve_outputs(out: OutputDir, setup, rep) -> None:
     out.write_with("value_grid.csv", lambda fh: write_grid_csv(rep.u, fh))
     save_grid(rep.u, out.path("value_grid.npz"))
     out.record("value_grid.npz")
-    out.write_json("report.json", {
-        "converged": rep.converged,
-        "sup_diffs": rep.sup_diffs,
-        "sweeps_per_slab": rep.sweeps_per_slab,
-        "slab_bounds": rep.slab_bounds,
-        "lipschitz_budget": rep.lipschitz_budget,
-        "stderr_floor": rep.stderr_floor,
-        "coverage_fraction": rep.coverage_fraction,
-        "fresh_gap": rep.fresh_gap,
-        "fresh_ok": rep.fresh_ok,
-        "grid": {
-            "t": [float(t) for t in rep.u.t_nodes],
-            "x_range": [float(rep.u.x_nodes[0]), float(rep.u.x_nodes[-1])],
-            "v_range": [float(rep.u.v_nodes[0]), float(rep.u.v_nodes[-1])],
-            "nx": len(rep.u.x_nodes),
-            "nv": len(rep.u.v_nodes),
-        },
-    })
+    report = {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "u"}
+    report["grid"] = {
+        "t": [float(t) for t in rep.u.t_nodes],
+        "x_range": [float(rep.u.x_nodes[0]), float(rep.u.x_nodes[-1])],
+        "v_range": [float(rep.u.v_nodes[0]), float(rep.u.v_nodes[-1])],
+        "nx": len(rep.u.x_nodes),
+        "nv": len(rep.u.v_nodes),
+    }
+    out.write_json("report.json", report)
     out.write_text("config.normalised.json", emit_config(setup.cfg))
 
 

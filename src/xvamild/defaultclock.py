@@ -94,9 +94,6 @@ class SurvivalCurve:
     def joint(self) -> np.ndarray:
         return self.investor * self.counterparty
 
-    def joint_at(self, t: float) -> float:
-        return float(np.interp(t, self.nodes, self.joint))
-
 
 @dataclass(frozen=True)
 class HazardCurve:

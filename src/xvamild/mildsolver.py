@@ -21,9 +21,9 @@ cuts each chunk into blocks of grid nodes, one per thread when
 mc.threads > 1 and at one thread enough that a block holds at most
 ``_BLOCK_CAP`` node-paths, so its state arrays stay in cache, and hands
 the (chunk, node block) tasks to the package's one executor,
-``simulate._map_chunks``.  Each node's sums reduce along its own row, the
-blocks are put back in node order and the chunks summed in chunk order,
-so neither the blocks nor the thread count change a bit.
+``simulate._map_chunks``.  Each node's sums reduce along its own row and
+are added, chunk after chunk, into that node's place in one array, so
+neither the blocks nor the thread count change a bit.
 When the driver's value-Lipschitz budget over the horizon exceeds 1/2
 the horizon is split into slabs solved backwards, each slab taking the
 next one's first plane as its terminal condition.
@@ -39,13 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .defaultclock import _trapezoid_cumsum
-from .gridfn import (  # re-exported: the solver's output container
-    CoverageError,
-    GridFunction,
-    save_grid,
-    sup_diff,
-    write_grid_csv,
-)
+from .gridfn import CoverageError, GridFunction, sup_diff
 from .simulate import _CHUNK, TimeGrid, _euler_step, _map_chunks, _step_table, simulate_paths
 from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lipschitz
 from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
@@ -151,8 +145,9 @@ def _sweep_slices(
     first chunk.  Each task allocates its state and Euler work arrays once
     and sweeps every slice with m_start < m_end in order through them.  A
     chunk's normals are drawn once per call and shared by its blocks.
-    Each node's sums reduce along its own row, so concatenating the block
-    sums in block order and adding the chunks in chunk order gives, slice
+    Each node's sums reduce along its own row, and each task's sums are
+    added in task order into the node's columns of one (2, slices, nodes)
+    array, so every node adds its chunks in chunk order and gets, slice
     by slice, the same bits at any thread count and block size.
     """
     nodes = master.nodes
@@ -215,14 +210,13 @@ def _sweep_slices(
     mean = np.empty((len(starts), n_nodes))
     stderr = np.zeros((len(starts), n_nodes))
     n = float(mc.n_paths)
-    nb = len(blocks)
     swept = []
     for i, m_start in enumerate(starts):
         if m_start == m_end:
             mean[i] = np.asarray(payoff(np.exp(x_flat), v_flat), dtype=float)
         else:
             swept.append(i)
-    normals = _shared(draw, nb)
+    normals = _shared(draw, len(blocks))
 
     def run_task(task):
         (_, n_c), lo, hi = task
@@ -231,14 +225,15 @@ def _sweep_slices(
         return [run_block(starts[i], z, lo, hi, planes) for i in swept]
 
     parts = _map_chunks(run_task, tasks, mc.threads) if swept else []
-    per_chunk = [parts[j : j + nb] for j in range(0, len(parts), nb)]
-    for col, i in enumerate(swept):
-        sums = sum(np.concatenate([p[col][0] for p in c]) for c in per_chunk)
-        sqs = sum(np.concatenate([p[col][1] for p in c]) for c in per_chunk)
-        mean[i] = sums / n
-        var = np.maximum(sqs - n * mean[i] * mean[i], 0.0) / (n - 1.0)
-        stderr[i] = np.sqrt(var / n)
-    n_out = sum(r[2] for p in parts for r in p)
+    sums = np.zeros((2, len(swept), n_nodes))  # (sum, sum of squares) per swept slice and node
+    n_out = 0
+    for (_, lo, hi), part in zip(tasks, parts):  # chunk-major, so each node adds its chunks in order
+        for col, (total, squares, outside) in enumerate(part):
+            sums[:, col, lo:hi] += (total, squares)
+            n_out += outside
+    mean[swept] = sums[0] / n
+    var = np.maximum(sums[1] - n * mean[swept] * mean[swept], 0.0) / (n - 1.0)
+    stderr[swept] = np.sqrt(var / n)
     n_eval = 0 if u_prev is None else mc.n_paths * n_nodes * sum(m_end - m for m in starts)
     return mean, stderr, n_out / n_eval if n_eval else 0.0
 
@@ -368,8 +363,7 @@ def picard_solve(
     nt, nx, nv = len(t_nodes), len(x_nodes), len(v_nodes)
     values = np.empty((nt, nx, nv))
     stderr_floor = 0.0
-    coverage_num = 0.0
-    coverage_den = 0.0
+    coverages = []
     sup_diffs = []
     sweeps_per_slab = []
     converged = True
@@ -394,8 +388,7 @@ def picard_solve(
             gap = sup_diff(u_next, u_cur)
             sup_diffs.append(gap)
             u_cur = u_next
-            coverage_num += cov
-            coverage_den += 1.0
+            coverages.append(cov)
             if n_sweeps >= min_sweeps and gap <= max(tol, 3.0 * slab_err):
                 slab_ok = True
                 break
@@ -414,7 +407,7 @@ def picard_solve(
         slab_bounds=[float(t_nodes[j]) for j in slab_ix],
         lipschitz_budget=budget,
         stderr_floor=stderr_floor,
-        coverage_fraction=coverage_num / coverage_den if coverage_den else 0.0,
+        coverage_fraction=sum(coverages) / len(coverages) if coverages else 0.0,
     )
     if validate_fresh:
         u_fresh, err_f, _ = apply_mild_map(

@@ -1,10 +1,10 @@
 """Gamma-tail primitives shared by the default clocks.
 
-Three quantities are exported.  The unnormalised upper tail
+Two quantities are exported.  With the unnormalised upper tail
 
     ugamma(a, x) = int_x^inf y**(a-1) * exp(-y) dy,
 
-the survival function of a Gamma(shape, rate) threshold,
+they are the survival function of a Gamma(shape, rate) threshold,
 
     G(x) = Q(shape, rate*x) = ugamma(shape, rate*x) / Gamma(shape),
 
@@ -13,10 +13,10 @@ and the tail-decay factor
     rate**shape * x**(shape-1) * exp(-rate*x) / ugamma(shape, rate*x)
 
 which equals -d/dx log G(x).  The regularised tail Q comes from
-vectorised ``scipy.special.gammaincc``; ugamma and the hazard factor are
-assembled in log space from log Q.  Where Q underflows (below 1e-300) a
-modified-Lentz continued fraction supplies log Q instead, so deep-tail
-hazards stay finite and tend to the rate.
+vectorised ``scipy.special.gammaincc``; the hazard factor is assembled in
+log space from log Q.  Where Q underflows (below 1e-300) a modified-Lentz
+continued fraction supplies log Q instead, so deep-tail hazards stay
+finite and tend to the rate.
 """
 
 from __future__ import annotations
@@ -95,19 +95,6 @@ def _log_q(shape: float, u: np.ndarray) -> np.ndarray:
         ud = u[deep]
         out[deep] = np.log(_upper_cf(shape, ud)) + shape * np.log(ud) - ud - math.lgamma(shape)
     return out
-
-
-def log_upper_incomplete_gamma(shape: float, x: float) -> float:
-    """log ugamma(shape, x), stable for large shape and deep tails."""
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise DomainError(f"shape must be finite and positive, got {shape!r}")
-    xs = _abscissae(x)
-    return float(math.lgamma(shape) + _log_q(shape, xs.reshape(1))[0])
-
-
-def upper_incomplete_gamma(shape: float, x: float) -> float:
-    """Unnormalised upper incomplete gamma: int_x^inf y**(shape-1) e**-y dy."""
-    return math.exp(log_upper_incomplete_gamma(shape, x))
 
 
 def gamma_survival(params: GammaParams, x):

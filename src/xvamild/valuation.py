@@ -368,7 +368,7 @@ def martingale_residual(
         outside += int(np.count_nonzero(u.outside(x[:, k], v[:, k])))
         total += n
         state = (np.exp(x[:, k]), v[:, k], u_k)
-        integrand = disc[k] * _a_increment(spec, curve.joint_at(t), rates[:, k], t, state)
+        integrand = disc[k] * _a_increment(spec, g_joint[k], rates[:, k], t, state)
         if prev_integrand is not None:
             integral = integral + 0.5 * (prev_integrand + integrand) * grid.dt
         prev_integrand = integrand

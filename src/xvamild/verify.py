@@ -141,18 +141,24 @@ def _flat_rate_spec(setup: RunSetup, **terms) -> MarketSpec:
     )
 
 
+def _oracle_solve(setup: RunSetup, spec: MarketSpec, width: float, nx: int,
+                  n_paths: int, threads: int):
+    """The small solve an oracle check compares: x0 +- width on nx nodes,
+    three v nodes around v0, 16 Euler steps, tol 1e-4."""
+    x0 = math.log(setup.s0)
+    x_nodes = np.linspace(x0 - width, x0 + width, nx)
+    v_nodes = np.linspace(max(0.5 * setup.v0, 1e-8), 1.5 * setup.v0 + 1e-8, 3)
+    mc = McConfig(n_paths=n_paths, n_steps=16, master_seed=setup.master_seed, threads=threads)
+    return picard_solve(spec, setup.model_q, _small_time_axis(setup), x_nodes, v_nodes, mc, tol=1e-4)
+
+
 def check_discount_bond(setup: RunSetup, threads: int) -> CheckResult:
     """Unit payoff with every rate equal must price to the discount bond."""
 
     def body():
         bond = _flat_rate_spec(setup, payoff=constant_payoff(1.0))
-        x0 = math.log(setup.s0)
-        t_nodes = _small_time_axis(setup)
-        x_nodes = np.linspace(x0 - 0.5, x0 + 0.5, 7)
-        v_nodes = np.linspace(max(0.5 * setup.v0, 1e-8), 1.5 * setup.v0 + 1e-8, 3)
-        mc = McConfig(n_paths=4000, n_steps=16, master_seed=setup.master_seed, threads=threads)
-        rep = picard_solve(bond, setup.model_q, t_nodes, x_nodes, v_nodes, mc, tol=1e-4)
-        expected = np.array([discount(bond.rate, t, setup.t_end) for t in t_nodes])
+        rep = _oracle_solve(setup, bond, 0.5, 7, 4000, threads)
+        expected = np.array([discount(bond.rate, t, setup.t_end) for t in rep.u.t_nodes])
         err = float(np.max(np.abs(rep.u.values - expected[:, None, None])))
         limit = max(1e-3, 3.0 * rep.stderr_floor)
         return err <= limit, f"max |u - discount| {err:.2e} (limit {limit:.2e})"
@@ -166,13 +172,8 @@ def check_affine_oracle(setup: RunSetup, threads: int) -> CheckResult:
     def body():
         rate_fn = setup.spec.fn("rate")
         aff = _flat_rate_spec(setup, dividend=constant_dividend(0.01), payoff=setup.spec.payoff)
+        rep = _oracle_solve(setup, aff, 0.6, 9, 6000, threads)
         x0 = math.log(setup.s0)
-        t_nodes = _small_time_axis(setup)
-        x_nodes = np.linspace(x0 - 0.6, x0 + 0.6, 9)
-        v_nodes = np.linspace(max(0.5 * setup.v0, 1e-8), 1.5 * setup.v0 + 1e-8, 3)
-        mc = McConfig(n_paths=6000, n_steps=16, master_seed=setup.master_seed, threads=threads)
-        rep = picard_solve(aff, setup.model_q, t_nodes, x_nodes, v_nodes, mc, tol=1e-4)
-
         worst = 0.0
         for i, (dx, dv) in enumerate(((0.0, 1.0), (-0.3, 0.8), (0.25, 1.2))):
             point = (setup.t0, x0 + dx, setup.v0 * dv)

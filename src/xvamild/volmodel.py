@@ -102,14 +102,6 @@ class VolModel:
         """eta(t, v)."""
         return self.coefficients(t, v)[2]
 
-    def theta_hat(self, t, v):
-        """vol_of_price evaluated at the positive part of v."""
-        return self.vol_of_price(t, np.maximum(v, 0.0))
-
-    def eta_hat(self, t, v):
-        """vol_of_v evaluated at the positive part of v."""
-        return self.vol_of_v(t, np.maximum(v, 0.0))
-
 
 @dataclass(frozen=True)
 class PowerParams:
@@ -295,8 +287,8 @@ def measure_change(model: VolModel, rate, gamma, horizon: float = 1.0) -> VolMod
         theta, zeta, eta = base(t, v, work)
         g = gamma_fn(t)
         if g != 0.0:
-            theta_hat, _, eta_hat = base(t, np.maximum(v, 0.0))
-            zeta = zeta - g * eta_hat * theta_hat
+            theta_pos, _, eta_pos = base(t, np.maximum(v, 0.0))
+            zeta = zeta - g * eta_pos * theta_pos
         return theta, zeta, eta
 
     # The drift envelope does not survive a nonzero premium in general.

@@ -1,6 +1,7 @@
 """Config loading, CLI subcommands, exit codes, and run manifests."""
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from xvamild import config
+from xvamild import config, verify
 from xvamild.cli import main
 from xvamild.config import (
     ConfigError,
@@ -30,7 +31,9 @@ from xvamild.defaultclock import (
     sample_default_times,
     survival_curve,
 )
+from xvamild.mildsolver import PicardReport, linear_oracle
 from xvamild.simulate import TimeGrid
+from xvamild.valuation import constant_dividend
 from xvamild.volmodel import as_time_fn
 
 
@@ -749,6 +752,17 @@ def fuzzed_config(draw):
     }
 
 
+@st.composite
+def mostly_golden_config(draw):
+    """A fuzzed_config draw with each section swapped for a golden base's seven
+    times in eight, so that most draws build."""
+    cfg = draw(fuzzed_config())
+    for key in cfg:
+        if draw(st.sampled_from([True] * 7 + [False])):
+            cfg[key] = draw(st.sampled_from([b.get(key) for b in GOLDEN_BASES.values()]))
+    return cfg
+
+
 @settings(max_examples=300, deadline=None)
 @given(cfg=fuzzed_config())
 def test_fuzzed_configs_reach_a_fixed_point_and_build_or_raise_config_error(cfg):
@@ -762,6 +776,24 @@ def test_fuzzed_configs_reach_a_fixed_point_and_build_or_raise_config_error(cfg)
         build_run(again)
     except ConfigError:
         pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=mostly_golden_config())
+def test_fuzzed_configs_that_build_solve_at_tiny_sizes_or_exit_with_a_code(cfg):
+    try:
+        norm = normalise_config(cfg)
+        build_run(norm)
+    except ConfigError:
+        return
+    grid = norm["grid"]
+    grid.update(n_steps=4, nt=3, nx=min(grid["nx"], 5), nv=min(grid["nv"], 4))
+    norm["mc"]["n_paths"] = min(norm["mc"]["n_paths"], 64)
+    norm["solver"]["max_iter"] = min(norm["solver"]["max_iter"], 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main(["solve", "--config", write_cfg(Path(tmp), norm), "--threads", "1",
+                     "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2, 3)
 
 
 # -- simulate -----------------------------------------------------------------------
@@ -888,6 +920,20 @@ def test_solve_and_price_outputs(tmp_path):
     assert files == set(manifest_outputs(out))
 
 
+def test_report_json_is_every_picard_report_field_but_u_plus_the_grid(tmp_path):
+    cfg = bs_call_config()
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    with open(out / "report.json") as fh:
+        rep = json.load(fh)
+    assert set(rep) == {f.name for f in dataclasses.fields(PicardReport)} - {"u"} | {"grid"}
+    t_nodes, x_nodes, v_nodes = resolve_axes(build_run(normalise_config(cfg)))
+    assert rep["grid"] == {
+        "t": t_nodes.tolist(), "x_range": [x_nodes[0], x_nodes[-1]],
+        "v_range": [v_nodes[0], v_nodes[-1]], "nx": len(x_nodes), "nv": len(v_nodes),
+    }
+
+
 def test_solve_rerun_reproduces_value_digest(tmp_path):
     cfg_path = write_cfg(tmp_path, bs_call_config())
     for out in ("a", "b"):
@@ -993,6 +1039,37 @@ def test_verify_comparison_between_configs(tmp_path, capsys):
 
 
 # -- threads resolution --------------------------------------------------------------
+
+
+def custom_book(gamma):
+    """The README book with a two-term custom variance factor."""
+    cfg = json.loads((REPO / "perfbench" / "book.json").read_text())
+    m = cfg["model"]
+    cfg["model"] = {
+        "preset": "custom", "s0": m["s0"], "v0": m["v0"], "drift_b": m["drift_b"],
+        "params": {"k": m["k"], "l0": m["l0"], "l": [-0.3, -0.1], "alpha": [1, 1.5],
+                   "lam": [0.3, 0.1], "beta": [0.5, 0.75], "theta1": 1, "rho": -0.5},
+    }
+    cfg["solver"]["gamma"] = gamma
+    return cfg
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_affine_fixed_point_matches_the_oracle_on_nodes_of_a_custom_book(gamma):
+    # check_affine_oracle's solve and slack, probed on the solve's own nodes, so
+    # the bilinear interpolant adds no bias between x or v nodes
+    setup = build_run(normalise_config(custom_book(gamma)))
+    rate_fn = setup.spec.fn("rate")
+    aff = verify._flat_rate_spec(setup, dividend=constant_dividend(0.01), payoff=setup.spec.payoff)
+    rep = verify._oracle_solve(setup, aff, 0.6, 9, 6000, threads=2)
+    for i, (ix, iv) in enumerate(((4, 1), (2, 0), (6, 2))):
+        point = (setup.t0, rep.u.x_nodes[ix], rep.u.v_nodes[iv])
+        ref, se = linear_oracle(
+            setup.model_q, aff.payoff, aff.dividend, lambda t: -rate_fn(t),
+            point, setup.t_end, n_steps=64, n_paths=20000, seed=setup.master_seed + 900 + i,
+        )
+        slack = max(1e-3, 3.0 * (se + rep.stderr_floor))
+        assert abs(rep.u.values[0, ix, iv] - ref) <= slack, (point, ref, slack)
 
 
 def test_threads_env_fallback(monkeypatch, tmp_path):

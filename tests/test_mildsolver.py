@@ -10,14 +10,13 @@ import pytest
 
 from xvamild.defaultclock import DefaultSpec, PartyDefault
 from xvamild import mildsolver
-from xvamild.gridfn import write_table
+from xvamild.gridfn import GridFunction, save_grid, write_grid_csv, write_table
 from xvamild.mildsolver import (
     _STATE_BUDGET,
     _BLOCK_CAP,
     _node_blocks,
     _shared,
     _sweep_slices,
-    GridFunction,
     McConfig,
     apply_mild_map,
     auto_hull,
@@ -27,9 +26,7 @@ from xvamild.mildsolver import (
     pde_residual,
     picard_solve,
     refine_point,
-    save_grid,
     sup_diff,
-    write_grid_csv,
 )
 from xvamild.simulate import _CHUNK, TimeGrid, _map_chunks, simulate_paths
 from xvamild.special import GammaParams

