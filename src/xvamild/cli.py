@@ -3,10 +3,12 @@
 Subcommands: simulate (physical-measure paths), defaults (survival and
 first-passage curves), solve (fixed-point value grid), price (solve plus
 a refined single-point estimate), verify (desk-scale checks).  Every
-command reads one JSON config, writes its outputs plus the normalised
-config into --out, and finishes with a manifest.json carrying digests of
-everything written; the manifest is written last so an interrupted run
-is detectable by its absence.
+command reads one JSON config, --seed applied to it and to verify's
+--compare config, and writes into --out.  ``main`` frames every run: a
+command that returns gets config.normalised.json and then manifest.json,
+the digests of everything written; the manifest comes last, so an
+interrupted run is detectable by its absence.  A run that raises, the
+defaults density-identity refusal among them, leaves no manifest.
 
 Exit codes: 0 success, 1 runtime or verification failure, 2 config
 validation failure, 3 invalid-path budget exceeded.
@@ -28,6 +30,7 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
+    RunSetup,
     build_run,
     emit_config,
     load_config,
@@ -46,14 +49,14 @@ from .volmodel import InvariantError, check_positivity
 
 
 class OutputDir:
-    """Tracks files written into the run directory and their digests."""
+    """Tracks files written into the run directory, made at the first write, and their digests."""
 
     def __init__(self, root: str):
         self.root = root
         self.digests = {}
-        os.makedirs(root, exist_ok=True)
 
     def path(self, name: str) -> str:
+        os.makedirs(self.root, exist_ok=True)
         return os.path.join(self.root, name)
 
     def record(self, name: str) -> None:
@@ -76,8 +79,11 @@ class OutputDir:
             writer(fh)
         self.record(name)
 
-    def finish_manifest(self, command: str, config_path: str, cfg: dict,
-                        seed: int, threads: int, started: float) -> None:
+    def finish_manifest(self, command: str, config_path: str, setup: RunSetup,
+                        threads: int, started: float) -> None:
+        """Write config.normalised.json, then manifest.json with every file's digest."""
+        normalised = emit_config(setup.cfg)
+        self.write_text("config.normalised.json", normalised)
         with open(config_path, "rb") as fh:
             raw_digest = hashlib.sha256(fh.read()).hexdigest()
         manifest = {
@@ -85,8 +91,8 @@ class OutputDir:
             "version": __version__,
             "command": command,
             "config_file_sha256": raw_digest,
-            "config_sha256": hashlib.sha256(emit_config(cfg).encode()).hexdigest(),
-            "master_seed": seed,
+            "config_sha256": hashlib.sha256(normalised.encode()).hexdigest(),
+            "master_seed": setup.master_seed,
             "threads": threads,
             "wall_time_s": round(time.perf_counter() - started, 3),
             "outputs": dict(sorted(self.digests.items())),
@@ -109,23 +115,17 @@ def _resolve_threads(args) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _setup_from(args):
-    raw = load_config(args.config)
-    cfg = normalise_config(raw)
-    if args.seed is not None:
-        cfg["mc"]["master_seed"] = args.seed
+def _setup_from(path: str, seed: int | None) -> RunSetup:
+    cfg = normalise_config(load_config(path))
+    if seed is not None:
+        cfg["mc"]["master_seed"] = seed
     return build_run(cfg)
 
 
 # -- subcommands ------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    setup = _setup_from(args)
-    threads = _resolve_threads(args)
-    out = OutputDir(args.out)
-
+def cmd_simulate(args, setup, threads, out) -> int:
     grid = TimeGrid(setup.t0, setup.t_end, setup.n_steps)
     paths = simulate_paths(
         setup.model_p, (math.log(setup.s0), setup.v0), grid,
@@ -146,9 +146,6 @@ def cmd_simulate(args) -> int:
     path_rep = positivity_report(paths)
     feller = check_positivity(setup.params, horizon=setup.t_end)
     out.write_json("positivity.json", {"paths": asdict(path_rep), "condition": asdict(feller)})
-    out.write_text("config.normalised.json", emit_config(setup.cfg))
-    out.finish_manifest("simulate", args.config, setup.cfg,
-                        setup.master_seed, threads, started)
     print(
         f"simulated {paths.n_paths} paths over [{setup.t0}, {setup.t_end}] "
         f"({setup.n_steps} steps), {paths.n_invalid} invalid; wrote {args.out}"
@@ -156,24 +153,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_defaults(args) -> int:
-    started = time.perf_counter()
-    setup = _setup_from(args)
-    threads = _resolve_threads(args)
+def cmd_defaults(args, setup, threads, out) -> int:
     if setup.spec.defaults is None:
         raise ConfigError("defaults", "this command needs default clocks configured")
-    out = OutputDir(args.out)
     dspec = setup.spec.defaults
 
     # the identity must hold before anything is written
     gaps = identity_gaps(dspec, setup.t0, setup.t_end)
     worst = max(gaps.values())
     if worst > 1e-6:
-        print(
-            f"density identity gap {worst:.3e} exceeds 1e-6; refusing to write curves",
-            file=sys.stderr,
-        )
-        return 1
+        raise DomainError(
+            f"density identity gap {worst:.3e} exceeds 1e-6; refusing to write curves")
 
     grid = TimeGrid(setup.t0, setup.t_end, setup.n_steps)
     curve = survival_curve(dspec, grid)
@@ -207,10 +197,6 @@ def cmd_defaults(args) -> int:
         summary["empirical_sup_gap"] = mc_gap
         summary["tie_fraction"] = tie_fraction
     out.write_json("defaults_summary.json", summary)
-    out.write_text("config.normalised.json", emit_config(setup.cfg))
-    out.finish_manifest("defaults", args.config, setup.cfg,
-                        setup.master_seed, threads, started)
-
     if mc_gap is not None and mc_gap > 0.01:
         print(f"empirical survival gap {mc_gap:.4f} exceeds 0.01", file=sys.stderr)
         return 1
@@ -235,7 +221,7 @@ def _solve(setup, threads, fresh_check):
     return rep, mc
 
 
-def _write_solve_outputs(out: OutputDir, setup, rep) -> None:
+def _write_solve_outputs(out: OutputDir, rep) -> None:
     out.write_with("value_grid.csv", lambda fh: write_grid_csv(rep.u, fh))
     save_grid(rep.u, out.path("value_grid.npz"))
     out.record("value_grid.npz")
@@ -248,18 +234,11 @@ def _write_solve_outputs(out: OutputDir, setup, rep) -> None:
         "nv": len(rep.u.v_nodes),
     }
     out.write_json("report.json", report)
-    out.write_text("config.normalised.json", emit_config(setup.cfg))
 
 
-def cmd_solve(args) -> int:
-    started = time.perf_counter()
-    setup = _setup_from(args)
-    threads = _resolve_threads(args)
-    out = OutputDir(args.out)
+def cmd_solve(args, setup, threads, out) -> int:
     rep, _ = _solve(setup, threads, args.fresh_check)
-    _write_solve_outputs(out, setup, rep)
-    out.finish_manifest("solve", args.config, setup.cfg,
-                        setup.master_seed, threads, started)
+    _write_solve_outputs(out, rep)
     here = float(rep.u.evaluate_at_time(setup.t0, math.log(setup.s0), setup.v0))
     status = "converged" if rep.converged else "NOT converged"
     print(
@@ -276,13 +255,9 @@ def cmd_solve(args) -> int:
     return 0 if rep.converged else 1
 
 
-def cmd_price(args) -> int:
-    started = time.perf_counter()
-    setup = _setup_from(args)
-    threads = _resolve_threads(args)
-    out = OutputDir(args.out)
+def cmd_price(args, setup, threads, out) -> int:
     rep, mc = _solve(setup, threads, args.fresh_check)
-    _write_solve_outputs(out, setup, rep)
+    _write_solve_outputs(out, rep)
 
     point = (setup.t0, math.log(setup.s0), setup.v0)
     grid_value = float(rep.u.evaluate_at_time(*point))
@@ -298,8 +273,6 @@ def cmd_price(args) -> int:
         "stderr": stderr,
         "discount_to_horizon": discount(setup.spec.rate, setup.t0, setup.t_end),
     })
-    out.finish_manifest("price", args.config, setup.cfg,
-                        setup.master_seed, threads, started)
     print(
         f"value at (t={setup.t0}, s0={setup.s0}, v0={setup.v0}): "
         f"{value:.6g} (stderr {stderr:.2g}, grid {grid_value:.6g}); wrote {args.out}"
@@ -307,22 +280,13 @@ def cmd_price(args) -> int:
     return 0 if rep.converged else 1
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    setup = _setup_from(args)
-    threads = _resolve_threads(args)
-    compare = None
-    if args.compare is not None:
-        compare = build_run(normalise_config(load_config(args.compare)))
-    out = OutputDir(args.out)
+def cmd_verify(args, setup, threads, out) -> int:
+    compare = None if args.compare is None else _setup_from(args.compare, args.seed)
     results = run_verify(setup, threads, compare)
     for res in results:
         flag = "PASS" if res.ok else "FAIL"
         print(f"[{flag}] {res.name} ({res.seconds:.1f}s): {res.detail}")
     out.write_json("verify.json", [asdict(r) for r in results])
-    out.write_text("config.normalised.json", emit_config(setup.cfg))
-    out.finish_manifest("verify", args.config, setup.cfg,
-                        setup.master_seed, threads, started)
     n_fail = sum(not r.ok for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed; wrote {args.out}")
     return 0 if n_fail == 0 else 1
@@ -399,7 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        started = time.perf_counter()
+        setup = _setup_from(args.config, args.seed)
+        threads = _resolve_threads(args)
+        out = OutputDir(args.out)
+        code = args.fn(args, setup, threads, out)
+        out.finish_manifest(args.command, args.config, setup, threads, started)
+        return code
     except ConfigError as exc:
         print(f"config error at {exc}", file=sys.stderr)
         return 2

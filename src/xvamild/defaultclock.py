@@ -103,10 +103,6 @@ class HazardCurve:
     investor: np.ndarray
     counterparty: np.ndarray
 
-    @property
-    def total(self) -> np.ndarray:
-        return self.investor + self.counterparty
-
 
 def survival_curve(spec: DefaultSpec, grid: TimeGrid) -> SurvivalCurve:
     nodes = grid.nodes

@@ -47,6 +47,8 @@ from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 _BUDGET_CAP = 0.5  # per-slab integrated Lipschitz bound
 _STATE_BUDGET = 500_000  # floats per (nodes x chunk) working set
 _BLOCK_CAP = 24_000  # node-paths per node block at one thread, so a block's arrays sit in L2
+_HULL_Q = 0.001  # pilot-cloud quantile kept inside the auto hull, at each end
+_HULL_PAD = 0.15  # auto hull widening, as a fraction of its span
 
 
 @dataclass(frozen=True)
@@ -536,9 +538,7 @@ def pde_residual(spec: MarketSpec, model: VolModel, u: GridFunction) -> np.ndarr
             U[i, 2:, 2:] - U[i, 2:, :-2] - U[i, :-2, 2:] + U[i, :-2, :-2]
         ) / (4.0 * hx * hv)
         xg, vg = np.meshgrid(u.x_nodes[1:-1], u.v_nodes[1:-1], indexing="ij")
-        theta = np.asarray(model.vol_of_price(t, vg), dtype=float)
-        zeta = np.asarray(model.drift_v(t, vg), dtype=float)
-        eta = np.asarray(model.vol_of_v(t, vg), dtype=float)
+        theta, zeta, eta = (np.asarray(c, dtype=float) for c in model.coefficients(t, vg))
         rho = float(model.correlation(t))
         b = float(model.drift_b(t))
         bhat = driver(spec, t, np.exp(xg), vg, U[i, 1:-1, 1:-1])
@@ -596,19 +596,18 @@ def auto_hull(
     grid: TimeGrid,
     n_paths: int = 4000,
     seed: int = 0,
-    q: float = 0.001,
-    pad: float = 0.15,
 ):
     """Padded quantile bounding box of a pilot simulation.
 
     Returns (x_lo, x_hi, v_lo, v_hi) containing the start state and the
-    [q, 1-q] range of every node's cloud, widened by pad times the span.
+    [_HULL_Q, 1 - _HULL_Q] range of every node's cloud, widened by _HULL_PAD
+    times the span.
     """
     paths = simulate_paths(model, start, grid, n_paths, seed)
     x = paths.valid_x()
     v = paths.valid_v()
-    x_lo, x_hi = np.quantile(x, [q, 1.0 - q])
-    v_lo, v_hi = np.quantile(v, [q, 1.0 - q])
+    x_lo, x_hi = np.quantile(x, [_HULL_Q, 1.0 - _HULL_Q])
+    v_lo, v_hi = np.quantile(v, [_HULL_Q, 1.0 - _HULL_Q])
     x_lo = min(float(x_lo), float(start[0]))
     x_hi = max(float(x_hi), float(start[0]))
     v_lo = min(float(v_lo), float(start[1]))
@@ -616,8 +615,8 @@ def auto_hull(
     dx = max(x_hi - x_lo, 1e-6)
     dv = max(v_hi - v_lo, 1e-6)
     return (
-        x_lo - pad * dx,
-        x_hi + pad * dx,
-        v_lo - pad * dv,
-        v_hi + pad * dv,
+        x_lo - _HULL_PAD * dx,
+        x_hi + _HULL_PAD * dx,
+        v_lo - _HULL_PAD * dv,
+        v_hi + _HULL_PAD * dv,
     )

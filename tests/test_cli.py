@@ -635,6 +635,7 @@ def test_cli_defaults_requires_clocks(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert "defaults" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["defaults", "solve"])
@@ -825,14 +826,6 @@ def test_simulate_seed_override_changes_outputs(tmp_path):
         assert json.load(fh)["master_seed"] == 123
 
 
-def test_simulate_manifest_covers_every_file(tmp_path):
-    cfg_path = write_cfg(tmp_path, full_xva_config())
-    out = tmp_path / "o"
-    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
-    files = {f for f in os.listdir(out) if f != "manifest.json"}
-    assert files == set(manifest_outputs(out))
-
-
 def test_simulate_positivity_report_structure(tmp_path):
     cfg_path = write_cfg(tmp_path, full_xva_config())
     out = tmp_path / "o"
@@ -916,8 +909,6 @@ def test_solve_and_price_outputs(tmp_path):
         rep = json.load(fh)
     assert rep["converged"] is True
     assert rep["coverage_fraction"] <= 0.5
-    files = {f for f in os.listdir(out) if f != "manifest.json"}
-    assert files == set(manifest_outputs(out))
 
 
 def test_report_json_is_every_picard_report_field_but_u_plus_the_grid(tmp_path):
@@ -967,6 +958,31 @@ def fresh_python(code: str) -> str:
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     return done.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["defaults", "--mc-check"], ["solve"],
+                                     ["price"], ["verify"]], ids=lambda c: c[0])
+def test_manifest_lists_every_file_written(tmp_path, command):
+    out = tmp_path / "o"
+    code = main([*command, "--config", write_cfg(tmp_path, tiny_book()), "--out", str(out),
+                 "--threads", "2"])
+    assert code in (0, 1)  # at 400 paths verify's martingale check FAILs; the run still returns
+    files = set(os.listdir(out)) - {"manifest.json"}
+    assert "config.normalised.json" in files
+    assert files == set(manifest_outputs(out))
+
+
+def test_defaults_identity_refusal_writes_no_curves_and_no_manifest(tmp_path, capsys):
+    # a hazard of 300 over ten years is a spike at t0 that the dense
+    # trapezoid cannot resolve: its worst identity gap is 1.87e-3
+    cfg = json.loads((REPO / "perfbench" / "book.json").read_text())
+    cfg["defaults"]["investor"]["intensity"] = 300.0
+    cfg["grid"]["T"] = 10.0
+    out = tmp_path / "o"
+    assert main(["defaults", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "density identity gap 1.874e-03 exceeds 1e-6" in capsys.readouterr().err
+    for name in ("manifest.json", "survival.csv", "density.csv"):
+        assert not (out / name).exists()
 
 
 @pytest.mark.parametrize("module", ["xvamild.cli", "xvamild.mildsolver"])
@@ -1024,14 +1040,17 @@ def test_verify_flags_positivity_violation(tmp_path, capsys):
     assert "[FAIL] variance_positivity" in capsys.readouterr().out
 
 
-def test_verify_comparison_between_configs(tmp_path, capsys):
+@pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["config-seed", "seed-override"])
+def test_verify_comparison_between_configs(tmp_path, capsys, seed):
+    # --seed overrides the master seed of both configs, so they still differ
+    # only in market and defaults
     base = full_xva_config()
     richer = copy.deepcopy(base)
     richer["market"]["dividend"] = {"kind": "constant", "value": 0.01}
     code = main([
         "verify", "--config", write_cfg(tmp_path, base, "lo.json"),
         "--compare", write_cfg(tmp_path, richer, "hi.json"),
-        "--out", str(tmp_path / "o"), "--threads", "2",
+        "--out", str(tmp_path / "o"), "--threads", "2", *seed,
     ])
     text = capsys.readouterr().out
     assert code == 0, text
