@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .defaultclock import _trapezoid_cumsum
-from .gridfn import CoverageError, GridFunction, sup_diff
+from .gridfn import CoverageError, GridFunction, _check_uniform, sup_diff
 from .simulate import _CHUNK, TimeGrid, _euler_step, _map_chunks, _step_table, simulate_paths
 from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lipschitz
 from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
@@ -519,9 +519,7 @@ def pde_residual(spec: MarketSpec, model: VolModel, u: GridFunction) -> np.ndarr
     for name, ax in (("t", u.t_nodes), ("x", u.x_nodes), ("v", u.v_nodes)):
         if len(ax) < 3:
             raise InvariantError(f"need at least 3 {name} nodes for a residual")
-        d = np.diff(ax)
-        if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12):
-            raise InvariantError(f"{name} nodes must be uniformly spaced")
+    _check_uniform("t", u.t_nodes)  # x and v are uniform by construction
     ht = u.t_nodes[1] - u.t_nodes[0]
     hx = u.x_nodes[1] - u.x_nodes[0]
     hv = u.v_nodes[1] - u.v_nodes[0]

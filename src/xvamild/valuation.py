@@ -214,37 +214,32 @@ def driver(spec: MarketSpec, t: float, s, v, y):
     return _driver_at(spec, _driver_rates(spec, t), t, s, v, y)
 
 
+def _driver_slopes(spec: MarketSpec, terms) -> tuple:
+    """(m+, m-), the driver's slopes on y+ and y- given ``_driver_rates`` terms:
+    m+ = -k+ + g_I (1 - b - lgd_I own (1 - a)) + g_C (1 - b + lgd_C (b - a)) and
+    m- = k- - g_I (1 - b + lgd_I own (b - a)) - g_C (1 - b)."""
+    a, b, k_pos, k_neg, _, _, g_i, g_c, _ = terms
+    lgd_i, lgd_c = spec.lgd_investor if spec.own_default_funding else 0.0, spec.lgd_counterparty
+    m_pos = -k_pos + g_i * (1.0 - b - lgd_i * (1.0 - a)) + g_c * (1.0 - b + lgd_c * (b - a))
+    return m_pos, k_neg - g_i * (1.0 - b + lgd_i * (b - a)) - g_c * (1.0 - b)
+
+
 def _driver_at(spec: MarketSpec, terms, t: float, s, v, y):
-    """The driver formula at time t, given ``_driver_rates`` at t, in four work buffers."""
+    """The driver formula at time t, given ``_driver_rates`` at t, in two work buffers."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0) or not np.all(np.isfinite(s_arr)):
         raise DomainError("price s must be positive and finite")
     y_arr = np.asarray(y, dtype=float)
-    a, b, k_pos, k_neg, hedge_pos, hedge_neg, g_i, g_c, _ = terms
-    own = 1.0 if spec.own_default_funding else 0.0
-
+    m_pos, m_neg = _driver_slopes(spec, terms)
     hedge = np.asarray(spec.hedge(t, s_arr, v, y_arr), dtype=float)
     dividend = np.asarray(spec.dividend(t, s_arr, v), dtype=float)
     shape = np.broadcast_shapes(dividend.shape, y_arr.shape, hedge.shape, *map(np.shape, terms))
-    out, work, yp, ym = (np.empty(shape) for _ in range(4))
-    np.maximum(y_arr, 0.0, out=yp)
-    np.maximum(np.negative(y_arr, out=ym), 0.0, out=ym)
-    np.subtract(dividend, np.multiply(k_pos, yp, out=work), out=out)
-    out += np.multiply(k_neg, ym, out=work)
-    np.maximum(hedge, 0.0, out=work)
-    out -= np.multiply(hedge_pos, work, out=work)
-    np.maximum(np.negative(hedge, out=work), 0.0, out=work)
-    out += np.multiply(hedge_neg, work, out=work)
-    # g_I * ((1 - b) y - lgd_I ((b - a) y- + (1 - a) y+) own)
-    np.multiply(b - a, ym, out=work)
-    work += np.multiply(1.0 - a, yp, out=ym)
-    work *= spec.lgd_investor
-    work *= own
-    np.multiply(1.0 - b, y_arr, out=ym)  # (1 - b) y, read again by the g_C term
-    out += np.multiply(g_i, np.subtract(ym, work, out=work), out=work)
-    # g_C * ((1 - b) y + lgd_C (b - a) y+)
-    np.multiply(spec.lgd_counterparty * (b - a), yp, out=yp)
-    out += np.multiply(g_c, np.add(ym, yp, out=work), out=work)
+    out, work = np.empty(shape), np.empty(shape)
+    # y- = -min(y, 0) and h- = -min(h, 0), so the minimum terms take negated factors
+    np.add(dividend, np.multiply(np.maximum(y_arr, 0.0, out=work), m_pos, out=work), out=out)
+    out += np.multiply(np.minimum(y_arr, 0.0, out=work), -m_neg, out=work)
+    out -= np.multiply(np.maximum(hedge, 0.0, out=work), terms[4], out=work)  # r - h+
+    out -= np.multiply(np.minimum(hedge, 0.0, out=work), terms[5], out=work)  # r - h-
     return out if out.shape else float(out)
 
 

@@ -174,7 +174,7 @@ def check_affine_oracle(setup: RunSetup, threads: int) -> CheckResult:
         aff = _flat_rate_spec(setup, dividend=constant_dividend(0.01), payoff=setup.spec.payoff)
         rep = _oracle_solve(setup, aff, 0.6, 9, 6000, threads)
         x0 = math.log(setup.s0)
-        worst = 0.0
+        worst = -math.inf
         for i, (dx, dv) in enumerate(((0.0, 1.0), (-0.3, 0.8), (0.25, 1.2))):
             point = (setup.t0, x0 + dx, setup.v0 * dv)
             ref, se = linear_oracle(

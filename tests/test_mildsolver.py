@@ -10,7 +10,7 @@ import pytest
 
 from xvamild.defaultclock import DefaultSpec, PartyDefault
 from xvamild import mildsolver
-from xvamild.gridfn import GridFunction, save_grid, write_grid_csv, write_table
+from xvamild.gridfn import GridFunction, _cells, save_grid, write_grid_csv, write_table
 from xvamild.mildsolver import (
     _STATE_BUDGET,
     _BLOCK_CAP,
@@ -105,7 +105,7 @@ def test_gridfunction_clamps_time():
 
 
 def searchsorted_bilinear(xn, vn, plane, x, v):
-    """The binary-search bilinear gather the O(1) cell lookup replaced."""
+    """The binary-search bilinear gather the arithmetic cell lookup replaced."""
     xc = np.clip(x, xn[0], xn[-1])
     vc = np.clip(v, vn[0], vn[-1])
     ix = np.clip(np.searchsorted(xn, xc, side="right") - 1, 0, len(xn) - 2)
@@ -120,13 +120,17 @@ def searchsorted_bilinear(xn, vn, plane, x, v):
     )
 
 
-GATHER_AXES = {
-    "linspace": np.linspace(4.0220, 5.0441, 21),
+UNIFORM_AXES = {
+    "linspace": np.linspace(4.0220, 5.0441, 21),  # the acceptance fixture's x axis
+    "fixture_v": np.linspace(1e-4, 0.2065, 9),
+    "oracle_v": np.linspace(0.5 * 0.04, 1.5 * 0.04 + 1e-8, 3),  # verify's affine-oracle v axis
     "three": np.array([X0 - 0.5, X0, X0 + 0.5]),
+    "two": np.array([-1.0, 2.5]),
+}
+NON_UNIFORM_AXES = {
     "geomspace": np.geomspace(1e-4, 3.0, 17),
     "skewed": np.array([0.0, 1e-3, 1.0]),
     "random": np.cumsum(np.random.default_rng(8).uniform(1e-6, 1.0, 13)) - 3.0,
-    "two": np.array([-1.0, 2.5]),
 }
 
 
@@ -141,23 +145,64 @@ def gather_queries(nodes):
     ])
 
 
-@pytest.mark.parametrize("x_axis", sorted(GATHER_AXES))
-def test_cell_lookup_matches_binary_search_bit_for_bit(x_axis):
-    xn = GATHER_AXES[x_axis]
-    for vn in GATHER_AXES.values():
+def gather_bound(xn, vn, plane):
+    """Rounding allowance against the binary search: a weight from the scaled
+    coordinate is off by a few ulps of (largest |node| / spacing + nodes) on
+    each axis, and a weight moves the value by at most twice max|plane|."""
+    ulps = sum(np.max(np.abs(n)) / (n[1] - n[0]) + len(n) for n in (xn, vn))
+    return 2.0 * ulps * np.finfo(float).eps * np.max(np.abs(plane))
+
+
+@pytest.mark.parametrize("x_axis", sorted(UNIFORM_AXES))
+def test_cell_lookup_matches_binary_search_within_ulps(x_axis):
+    xn = UNIFORM_AXES[x_axis]
+    q = gather_queries(xn)
+    i, w = _cells(xn, q)
+    assert np.all((i >= 0) & (i <= len(xn) - 2))
+    assert np.all((w[~np.isnan(q)] >= 0.0) & (w[~np.isnan(q)] <= 1.0))
+    assert np.array_equal(np.isnan(w), np.isnan(q))
+    for vn in UNIFORM_AXES.values():
         plane = np.random.default_rng(1).normal(size=(len(xn), len(vn)))
         g = GridFunction(np.array([0.0, 1.0]), xn, vn, np.stack([plane, plane]))
+        bound = gather_bound(xn, vn, plane)
         xq, vq = (a.ravel() for a in np.meshgrid(gather_queries(xn), gather_queries(vn)))
         got = g.evaluate_at_time(0.0, xq, vq)
-        assert np.array_equal(got, searchsorted_bilinear(xn, vn, plane, xq, vq), equal_nan=True)
+        want = searchsorted_bilinear(xn, vn, plane, xq, vq)
         finite = ~np.isnan(got)
+        assert np.array_equal(finite, ~np.isnan(want))
         assert finite.any() and np.isnan(vq[~finite] + xq[~finite]).all()
+        assert np.max(np.abs(got[finite] - want[finite])) <= bound
         # scalars stay scalars, broadcasting still works
         one = g.evaluate_at_time(0.0, xq[7], vq[7])
         assert np.shape(one) == () and np.array_equal(one, got[7])
         grid = g.evaluate_at_time(0.0, xq[:5, None], vq[None, :6])
         want = searchsorted_bilinear(xn, vn, plane, xq[:5, None], vq[None, :6])
-        assert np.array_equal(grid, want, equal_nan=True)
+        assert grid.shape == (5, 6)
+        assert np.array_equal(np.isnan(grid), np.isnan(want))
+        assert np.nanmax(np.abs(grid - want)) <= bound
+
+
+@pytest.mark.parametrize("axis", sorted(NON_UNIFORM_AXES))
+def test_gridfunction_rejects_non_uniform_x_and_v_axes(axis):
+    bad, good = NON_UNIFORM_AXES[axis], UNIFORM_AXES["linspace"]
+    values = np.zeros((2, len(bad), len(good)))
+    with pytest.raises(InvariantError, match="x nodes must be uniformly spaced"):
+        GridFunction(np.array([0.0, 1.0]), bad, good, values)
+    with pytest.raises(InvariantError, match="v nodes must be uniformly spaced"):
+        GridFunction(np.array([0.0, 1.0]), good, bad, values.transpose(0, 2, 1))
+
+
+def test_non_uniform_time_axis_blends_planes_exactly():
+    t = np.array([0.0, 0.1, 0.5])
+    x = np.linspace(-1.0, 1.0, 5)
+    v = np.linspace(0.0, 0.4, 3)
+    g = GridFunction(t, x, v, 2.0 * t[:, None, None] + 3.0 * x[None, :, None] - v[None, None, :])
+    xg, vg = (a.ravel() for a in np.meshgrid(x, v, indexing="ij"))
+    for k, tk in enumerate(t):
+        assert np.array_equal(g.evaluate_at_time(tk, xg, vg), g.values[k].ravel())
+    for tq in (0.025, 0.05, 0.1 + 1e-12, 0.3, 0.499):
+        got = g.evaluate_at_time(tq, xg, vg)
+        assert np.max(np.abs(got - (2.0 * tq + 3.0 * xg - vg))) <= 1e-15
 
 
 def test_grid_cache_roundtrip_deterministic(tmp_path):
