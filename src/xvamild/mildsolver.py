@@ -16,14 +16,17 @@ visible far below the noise of one sweep, and finite differences across
 time slices stay meaningful.  Everything a sweep needs that depends on
 time alone (the Euler step table, the driver's rates, fractions and
 survival slopes, and the chunk layout) is tabulated once per sweep on
-the master nodes; the driver runs when an iterate is given.  Every sweep
-cuts each chunk into blocks of grid nodes, one per thread when
-mc.threads > 1 and at one thread enough that a block holds at most
-``_BLOCK_CAP`` node-paths, so its state arrays stay in cache, and hands
-the (chunk, node block) tasks to the package's one executor,
-``simulate._map_chunks``.  Each node's sums reduce along its own row and
-are added, chunk after chunk, into that node's place in one array, so
-neither the blocks nor the thread count change a bit.
+the master nodes; the driver runs when an iterate is given.  V is
+autonomous and the log-price increment reads V alone, so every x node of
+a v column rides one V path: a sweep steps V and its coefficients once
+per v node.  Every sweep cuts each chunk into blocks of x rows, one per
+thread when mc.threads > 1 (one per row when rows are fewer) and at one
+thread enough that a block holds at most ``_BLOCK_CAP`` node-paths (one
+row at least), so its state arrays stay in cache, and hands the (chunk,
+row block) tasks to the package's one executor, ``simulate._map_chunks``.
+Each node's sums reduce along its own paths and are added, chunk after
+chunk, into that node's place in one array, so neither the blocks nor the
+thread count change a bit.
 When the driver's value-Lipschitz budget over the horizon exceeds 1/2
 the horizon is split into slabs solved backwards, each slab taking the
 next one's first plane as its terminal condition.
@@ -89,11 +92,12 @@ def _master_indices(t_nodes: np.ndarray, master: TimeGrid) -> list:
     return idx
 
 
-def _node_blocks(n_nodes: int, threads: int) -> list:
-    """[lo, hi) node ranges covering 0 .. n_nodes in order: min(threads,
-    n_nodes) blocks, at least one, whose sizes differ by at most one node."""
-    n = max(1, min(threads, n_nodes))
-    cuts = [i * n_nodes // n for i in range(n + 1)]
+def _node_blocks(n_rows: int, threads: int) -> list:
+    """[lo, hi) ranges of x rows covering 0 .. n_rows in order: min(threads,
+    n_rows) blocks, at least one, whose sizes differ by at most one row, so
+    a grid with fewer rows than threads gets one block per row."""
+    n = max(1, min(threads, n_rows))
+    cuts = [i * n_rows // n for i in range(n + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
 
 
@@ -121,47 +125,53 @@ def _sweep_slices(
     master: TimeGrid,
     starts,
     m_end: int,
-    x_flat: np.ndarray,
-    v_flat: np.ndarray,
+    x_nodes: np.ndarray,
+    v_nodes: np.ndarray,
     payoff: Callable,
     mc: McConfig,
     seed_salt: int,
 ):
-    """Estimate (T u_prev) for all (x, v) nodes on the slices that start at
-    the master steps ``starts`` and end at m_end.
+    """Estimate (T u_prev) on the x_nodes x v_nodes grid on the slices
+    that start at the master steps ``starts`` and end at m_end.
 
-    Returns (mean, stderr, coverage), with a row per slice.  The step
-    table, the driver's time terms and the chunk layout are tabulated once
-    on master nodes 0 .. m_end and read by master index.  The driver
-    integral is added when u_prev is given; without it a slice estimates
-    E[payoff].  All nodes share each chunk's increments; the stream seed
-    depends only on (master_seed, salt, chunk), never on the slice or the
-    iterate.  Each chunk draws its normals for master steps 0 .. m_end - 1
-    in one call; the generator fills the block in order, so step k
-    consumes the same numbers no matter where the slice begins.
+    Returns (mean, stderr, coverage), with a row per slice and a column
+    per node, x-major.  The step table, the driver's time terms and the
+    chunk layout are tabulated once on master nodes 0 .. m_end and read
+    by master index.  The driver integral is added when u_prev is given;
+    without it a slice estimates E[payoff].  All nodes share each chunk's
+    increments; the stream seed depends only on (master_seed, salt,
+    chunk), never on the slice or the iterate, and the chunk size on the
+    node count alone.  Each chunk draws its normals for master steps
+    0 .. m_end - 1 in one call; the generator fills the block in order,
+    so step k consumes the same numbers no matter where the slice begins.
 
-    One ``simulate._map_chunks`` call runs (chunk, node block) tasks in
-    chunk-major order.  ``_node_blocks`` cuts each chunk into one block
-    per thread when mc.threads > 1, and at one thread into
-    ceil(nodes x paths / ``_BLOCK_CAP``) blocks, paths counted in the
-    first chunk.  Each task allocates its state and Euler work arrays once
-    and sweeps every slice with m_start < m_end in order through them.  A
-    chunk's normals are drawn once per call and shared by its blocks.
-    Each node's sums reduce along its own row, and each task's sums are
-    added in task order into the node's columns of one (2, slices, nodes)
-    array, so every node adds its chunks in chunk order and gets, slice
-    by slice, the same bits at any thread count and block size.
+    One ``simulate._map_chunks`` call runs (chunk, row block) tasks in
+    chunk-major order.  ``_node_blocks`` cuts the x rows into one block
+    per thread when mc.threads > 1, one per row when rows are fewer, and
+    at one thread into ceil(nodes x paths / ``_BLOCK_CAP``) blocks, paths
+    counted in the first chunk, one row at least.  A task holds x and the
+    integral as (rows, nv, paths) and v and the Euler work planes as
+    (nv, paths), so V, its coefficients, the gather's v cells and
+    ``outside``'s v tests run once per v node and broadcast over the
+    rows.  Each task allocates these once and sweeps every slice with
+    m_start < m_end in order through them.  A chunk's normals are drawn
+    once per call and shared by its blocks.  Each node's sums reduce
+    along its own paths, and each task's sums are added in task order
+    into the node's columns of one (2, slices, nodes) array, so every node
+    adds its chunks in chunk order and gets, slice by slice, the same bits
+    at any thread count and block size.
     """
     nodes = master.nodes
     dt = master.dt
     sq_dt = math.sqrt(dt)
-    n_nodes = x_flat.size
+    nv = v_nodes.size
+    n_nodes = x_nodes.size * nv
     steps = _step_table(model, nodes[:m_end])
     terms = None if u_prev is None else np.stack(_driver_rates(spec, nodes[: m_end + 1]))
     size = max(128, min(_CHUNK, _STATE_BUDGET // max(n_nodes, 1)))
     chunks = [(c, min(size, mc.n_paths - lo)) for c, lo in enumerate(range(0, mc.n_paths, size))]
     n_blocks = mc.threads if mc.threads > 1 else -(-n_nodes * chunks[0][1] // _BLOCK_CAP)
-    blocks = _node_blocks(n_nodes, n_blocks)
+    blocks = _node_blocks(x_nodes.size, n_blocks)
     tasks = [(c, lo, hi) for c in chunks for lo, hi in blocks]
 
     def draw(chunk):
@@ -171,6 +181,11 @@ def _sweep_slices(
         )
         return rng.standard_normal((m_end, n_c, 2)) * sq_dt
 
+    def terminal(x, v):
+        # the payoff at the (x, v) broadcast shape, also one that reads v alone
+        phi = np.asarray(payoff(np.exp(x), v), dtype=float)
+        return np.ascontiguousarray(np.broadcast_to(phi, np.broadcast_shapes(x.shape, v.shape)))
+
     def trapezoid(prev_rate, rate, integral):
         # integral += 0.5 * (prev_rate + rate) * dt, rounded alike, in prev_rate's buffer
         prev_rate += rate
@@ -178,11 +193,11 @@ def _sweep_slices(
         prev_rate *= dt
         integral += prev_rate
 
-    def run_block(m_start: int, z: np.ndarray, lo: int, hi: int, planes: np.ndarray):
-        # planes: x, v, the integral and the step's work, reused slice after slice
-        x, v, integral, work = planes[0], planes[1], planes[2], planes[3:]
-        x[...] = x_flat[lo:hi, None]
-        v[...] = v_flat[lo:hi, None]
+    def run_block(m_start: int, z: np.ndarray, lo: int, hi: int, rows, planes):
+        # rows: x and the integral; planes: v and the step's work; reused slice after slice
+        (x, integral), v, work = rows, planes[0], planes[1:]
+        x[...] = x_nodes[lo:hi, None, None]
+        v[...] = v_nodes[:, None]
         integral.fill(0.0)
         prev_rate = None
         outside = 0
@@ -197,7 +212,7 @@ def _sweep_slices(
                         trapezoid(prev_rate, rate, integral)
                     prev_rate = rate
                 _euler_step(model, steps, k, t, x, v, dt, z[k, :, 0], z[k, :, 1], work)
-        est = np.asarray(payoff(np.exp(x), v), dtype=float)
+        est = terminal(x, v)
         if u_prev is not None:
             rate_end = _driver_at(spec, terms[:, m_end], nodes[m_end], np.exp(x), v, est)
             trapezoid(prev_rate, rate_end, integral)
@@ -207,7 +222,7 @@ def _sweep_slices(
             raise CoverageError(
                 "non-finite Monte Carlo estimate; the model explodes on this grid"
             )
-        return est.sum(axis=1), (est * est).sum(axis=1), outside
+        return est.sum(axis=2).ravel(), (est * est).sum(axis=2).ravel(), outside
 
     mean = np.empty((len(starts), n_nodes))
     stderr = np.zeros((len(starts), n_nodes))
@@ -215,7 +230,7 @@ def _sweep_slices(
     swept = []
     for i, m_start in enumerate(starts):
         if m_start == m_end:
-            mean[i] = np.asarray(payoff(np.exp(x_flat), v_flat), dtype=float)
+            mean[i] = terminal(x_nodes[:, None], v_nodes).ravel()
         else:
             swept.append(i)
     normals = _shared(draw, len(blocks))
@@ -223,15 +238,16 @@ def _sweep_slices(
     def run_task(task):
         (_, n_c), lo, hi = task
         z = normals(task[0])
-        planes = np.empty((3 + WORK_PLANES, hi - lo, n_c))
-        return [run_block(starts[i], z, lo, hi, planes) for i in swept]
+        rows = np.empty((2, hi - lo, nv, n_c))
+        planes = np.empty((1 + WORK_PLANES, nv, n_c))
+        return [run_block(starts[i], z, lo, hi, rows, planes) for i in swept]
 
     parts = _map_chunks(run_task, tasks, mc.threads) if swept else []
     sums = np.zeros((2, len(swept), n_nodes))  # (sum, sum of squares) per swept slice and node
     n_out = 0
     for (_, lo, hi), part in zip(tasks, parts):  # chunk-major, so each node adds its chunks in order
         for col, (total, squares, outside) in enumerate(part):
-            sums[:, col, lo:hi] += (total, squares)
+            sums[:, col, lo * nv : hi * nv] += (total, squares)
             n_out += outside
     mean[swept] = sums[0] / n
     var = np.maximum(sums[1] - n * mean[swept] * mean[swept], 0.0) / (n - 1.0)
@@ -268,9 +284,8 @@ def apply_mild_map(
     if payoff is None:
         payoff = spec.payoff
     idx = _master_indices(t_nodes, master)
-    xg, vg = np.meshgrid(x_nodes, v_nodes, indexing="ij")
     mean, err, coverage = _sweep_slices(
-        spec, model, u_prev, master, idx, idx[-1], xg.ravel(), vg.ravel(), payoff, mc, seed_salt,
+        spec, model, u_prev, master, idx, idx[-1], x_nodes, v_nodes, payoff, mc, seed_salt,
     )
     shape = (len(t_nodes), len(x_nodes), len(v_nodes))
     return GridFunction(t_nodes, x_nodes, v_nodes, mean.reshape(shape)), err.reshape(shape), coverage

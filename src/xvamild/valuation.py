@@ -79,7 +79,9 @@ class MarketSpec:
     0 <= collateral <= closeout <= 1 pointwise.  own_default_funding
     toggles the investor-side loss-given-default term of the driver.  t0
     is the global valuation start; cumulative default intensities
-    accumulate from it.
+    accumulate from it.  payoff(s, v), dividend(t, s, v) and
+    hedge(t, s, v, y) get a v that broadcasts against s, not one of s's
+    shape (the sweep steps v once per v node); results broadcast to s's.
     """
 
     rate: object = 0.0

@@ -701,20 +701,67 @@ def test_node_blocked_sweep_matches_single_node_sweeps(threads):
     spec, model, u = multi_chunk_problem()
     x = np.linspace(X0 - 0.3, X0 + 0.3, 7)
     v = np.linspace(0.02, 0.2, 5)
-    xs, vs = (a.ravel() for a in np.meshgrid(x, v, indexing="ij"))
+    n_nodes = x.size * v.size
     mc = McConfig(n_paths=1500, n_steps=6, master_seed=4, threads=threads)
-    assert mc.n_paths <= min(_CHUNK, _STATE_BUDGET // xs.size)  # one chunk
-    assert xs.size * mc.n_paths > 2 * _BLOCK_CAP  # three node blocks at one thread
+    assert mc.n_paths <= min(_CHUNK, _STATE_BUDGET // n_nodes)  # one chunk
+    assert n_nodes * mc.n_paths > 2 * _BLOCK_CAP  # three node blocks at one thread
     master = TimeGrid(0.0, 0.5, mc.n_steps)
     starts = [0, 2, 4, 6]
     for u_prev in (u, None):
-        mean, err, cov = _sweep_slices(spec, model, u_prev, master, starts, 6, xs, vs,
+        mean, err, cov = _sweep_slices(spec, model, u_prev, master, starts, 6, x, v,
                                        spec.payoff, mc, 0)
         n_out = 0.0
-        for j in range(xs.size):
+        for j in range(n_nodes):
+            i, k = divmod(j, v.size)
             mean_j, err_j, cov_j = _sweep_slices(spec, model, u_prev, master, starts, 6,
-                                                 xs[j : j + 1], vs[j : j + 1], spec.payoff, mc, 0)
+                                                 x[i : i + 1], v[k : k + 1], spec.payoff, mc, 0)
             assert mean[:, j].tobytes() == mean_j[:, 0].tobytes()
             assert err[:, j].tobytes() == err_j[:, 0].tobytes()
             n_out += cov_j
-        assert cov == pytest.approx(n_out / xs.size, rel=1e-12, abs=0.0)
+        assert cov == pytest.approx(n_out / n_nodes, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_steps_the_variance_once_per_v_node(threads):
+    # V is autonomous, so every x row of a v column rides the same V path: the
+    # coefficients see (nv, paths) planes, never planes over the x rows
+    spec, model, u = multi_chunk_problem()
+    shapes = []
+    coefficients = model.coefficients
+
+    def recorded(t, v, work=None):
+        shapes.append(np.shape(v))
+        return coefficients(t, v, work)
+
+    model = replace(model, coefficients=recorded)
+    x = np.linspace(X0 - 0.3, X0 + 0.3, 7)
+    v = np.linspace(0.02, 0.2, 5)
+    mc = McConfig(n_paths=1500, n_steps=6, master_seed=4, threads=threads)
+    for u_prev in (u, None):
+        shapes.clear()
+        apply_mild_map(spec, model, u_prev, u.t_nodes, x, v, mc)
+        assert shapes
+        assert all(len(shape) == 2 and shape[0] == v.size for shape in shapes), set(shapes)
+
+
+def test_payoff_and_dividend_that_read_v_alone_broadcast_over_x():
+    _, model, _ = multi_chunk_problem()
+    spec = MarketSpec(rate=0.03, payoff=lambda s, v: v, dividend=lambda t, s, v: 0.01 * v)
+    t = np.linspace(0.0, 0.5, 4)
+    x = np.linspace(X0 - 0.3, X0 + 0.3, 7)
+    v = np.linspace(0.02, 0.2, 5)
+    mc = McConfig(n_paths=1500, n_steps=6, master_seed=4)
+    master = TimeGrid(0.0, 0.5, mc.n_steps)
+    terminal, err0, _ = apply_mild_map(spec, model, None, t, x, v, mc)
+    swept, err, _ = apply_mild_map(spec, model, terminal, t, x, v, mc)
+    for field in (terminal.values, swept.values):
+        assert field.shape == (t.size, x.size, v.size)
+    assert np.all(terminal.values[-1] == v)
+    for u_prev, field, field_err in ((None, terminal, err0), (terminal, swept, err)):
+        for i in range(x.size):  # a row alone is the nx = 1 sweep at that row's x
+            mean_i, err_i, _ = _sweep_slices(spec, model, u_prev, master, [0, 2, 4, 6], 6,
+                                             x[i : i + 1], v, spec.payoff, mc, 0)
+            assert field.values[:, i, :].tobytes() == mean_i.tobytes()
+            assert field_err[:, i, :].tobytes() == err_i.tobytes()
+    # a payoff of v alone gives every x row of the terminal sweep the same values
+    assert np.all(terminal.values == terminal.values[:, :1, :])
