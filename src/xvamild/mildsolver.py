@@ -19,14 +19,13 @@ survival slopes, and the chunk layout) is tabulated once per sweep on
 the master nodes; the driver runs when an iterate is given.  V is
 autonomous and the log-price increment reads V alone, so every x node of
 a v column rides one V path: a sweep steps V and its coefficients once
-per v node.  Every sweep cuts each chunk into blocks of x rows, one per
-thread when mc.threads > 1 (one per row when rows are fewer) and at one
-thread enough that a block holds at most ``_BLOCK_CAP`` node-paths (one
-row at least), so its state arrays stay in cache, and hands the (chunk,
-row block) tasks to the package's one executor, ``simulate._map_chunks``.
-Each node's sums reduce along its own paths and are added, chunk after
-chunk, into that node's place in one array, so neither the blocks nor the
-thread count change a bit.
+per v node.  Every sweep cuts the x rows into blocks, one per thread
+(one per row when rows are fewer, one block at one thread), and hands
+one task per block to the package's one executor,
+``simulate._map_chunks``.  A task draws each chunk's normals itself and
+walks the chunks in order.  Each node's sums reduce along its own paths
+and are added, chunk after chunk, into that node's place in one array,
+so neither the blocks nor the thread count change a bit.
 When the driver's value-Lipschitz budget over the horizon exceeds 1/2
 the horizon is split into slabs solved backwards, each slab taking the
 next one's first plane as its terminal condition.
@@ -35,7 +34,6 @@ next one's first plane as its terminal condition.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -48,8 +46,7 @@ from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lip
 from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
 _BUDGET_CAP = 0.5  # per-slab integrated Lipschitz bound
-_STATE_BUDGET = 500_000  # floats per (nodes x chunk) working set
-_BLOCK_CAP = 24_000  # node-paths per node block at one thread, so a block's arrays sit in L2
+_STATE_BUDGET = 500_000  # floats in one state array of a one-thread block, nodes x chunk paths
 _HULL_Q = 0.001  # pilot-cloud quantile kept inside the auto hull, at each end
 _HULL_PAD = 0.15  # auto hull widening, as a fraction of its span
 
@@ -101,23 +98,6 @@ def _node_blocks(n_rows: int, threads: int) -> list:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _shared(draw: Callable, users: int) -> Callable:
-    """draw(key), computed once per key and handed to ``users`` callers on any
-    thread; the table drops a key at its last caller, so it holds only the
-    keys of running tasks."""
-    lock = threading.Lock()
-    held = {}
-
-    def get(key):
-        with lock:
-            value, left = held.pop(key, None) or (draw(key), users)
-            if left > 1:
-                held[key] = (value, left - 1)
-            return value
-
-    return get
-
-
 def _sweep_slices(
     spec: MarketSpec,
     model: VolModel,
@@ -145,21 +125,18 @@ def _sweep_slices(
     0 .. m_end - 1 in one call; the generator fills the block in order,
     so step k consumes the same numbers no matter where the slice begins.
 
-    One ``simulate._map_chunks`` call runs (chunk, row block) tasks in
-    chunk-major order.  ``_node_blocks`` cuts the x rows into one block
-    per thread when mc.threads > 1, one per row when rows are fewer, and
-    at one thread into ceil(nodes x paths / ``_BLOCK_CAP``) blocks, paths
-    counted in the first chunk, one row at least.  A task holds x and the
-    integral as (rows, nv, paths) and v and the Euler work planes as
-    (nv, paths), so V, its coefficients, the gather's v cells and
-    ``outside``'s v tests run once per v node and broadcast over the
-    rows.  Each task allocates these once and sweeps every slice with
-    m_start < m_end in order through them.  A chunk's normals are drawn
-    once per call and shared by its blocks.  Each node's sums reduce
-    along its own paths, and each task's sums are added in task order
-    into the node's columns of one (2, slices, nodes) array, so every node
-    adds its chunks in chunk order and gets, slice by slice, the same bits
-    at any thread count and block size.
+    ``_node_blocks`` cuts the x rows into one block per thread, one per
+    row when rows are fewer, and one ``simulate._map_chunks`` call runs
+    one task per block.  A task walks the chunks in order; for each it
+    draws the chunk's normals itself, holds x and the integral as (rows,
+    nv, paths) and v and the Euler work planes as (nv, paths), so V, its
+    coefficients, the gather's v cells and ``outside``'s v tests run once
+    per v node and broadcast over the rows, and sweeps every slice with
+    m_start < m_end in order through these arrays.  Each node's sums
+    reduce along its own paths and are added, chunk after chunk, into the
+    block's own columns of one (2, slices, nodes) array; blocks own
+    disjoint columns, so they need no lock and no merge, and every node
+    gets, slice by slice, the same bits at any thread count.
     """
     nodes = master.nodes
     dt = master.dt
@@ -170,16 +147,6 @@ def _sweep_slices(
     terms = None if u_prev is None else np.stack(_driver_rates(spec, nodes[: m_end + 1]))
     size = max(128, min(_CHUNK, _STATE_BUDGET // max(n_nodes, 1)))
     chunks = [(c, min(size, mc.n_paths - lo)) for c, lo in enumerate(range(0, mc.n_paths, size))]
-    n_blocks = mc.threads if mc.threads > 1 else -(-n_nodes * chunks[0][1] // _BLOCK_CAP)
-    blocks = _node_blocks(x_nodes.size, n_blocks)
-    tasks = [(c, lo, hi) for c in chunks for lo, hi in blocks]
-
-    def draw(chunk):
-        c_idx, n_c = chunk
-        rng = np.random.default_rng(
-            np.random.SeedSequence([mc.master_seed, seed_salt, c_idx])
-        )
-        return rng.standard_normal((m_end, n_c, 2)) * sq_dt
 
     def terminal(x, v):
         # the payoff at the (x, v) broadcast shape, also one that reads v alone
@@ -193,7 +160,7 @@ def _sweep_slices(
         prev_rate *= dt
         integral += prev_rate
 
-    def run_block(m_start: int, z: np.ndarray, lo: int, hi: int, rows, planes):
+    def run_slice(m_start: int, z: np.ndarray, lo: int, hi: int, rows, planes):
         # rows: x and the integral; planes: v and the step's work; reused slice after slice
         (x, integral), v, work = rows, planes[0], planes[1:]
         x[...] = x_nodes[lo:hi, None, None]
@@ -233,22 +200,26 @@ def _sweep_slices(
             mean[i] = terminal(x_nodes[:, None], v_nodes).ravel()
         else:
             swept.append(i)
-    normals = _shared(draw, len(blocks))
-
-    def run_task(task):
-        (_, n_c), lo, hi = task
-        z = normals(task[0])
-        rows = np.empty((2, hi - lo, nv, n_c))
-        planes = np.empty((1 + WORK_PLANES, nv, n_c))
-        return [run_block(starts[i], z, lo, hi, rows, planes) for i in swept]
-
-    parts = _map_chunks(run_task, tasks, mc.threads) if swept else []
     sums = np.zeros((2, len(swept), n_nodes))  # (sum, sum of squares) per swept slice and node
-    n_out = 0
-    for (_, lo, hi), part in zip(tasks, parts):  # chunk-major, so each node adds its chunks in order
-        for col, (total, squares, outside) in enumerate(part):
-            sums[:, col, lo * nv : hi * nv] += (total, squares)
-            n_out += outside
+
+    def run_block(block):
+        lo, hi = block
+        outside = 0
+        for c_idx, n_c in chunks:  # in chunk order, so each node adds its chunks in order
+            rng = np.random.default_rng(
+                np.random.SeedSequence([mc.master_seed, seed_salt, c_idx])
+            )
+            z = rng.standard_normal((m_end, n_c, 2)) * sq_dt
+            rows = np.empty((2, hi - lo, nv, n_c))
+            planes = np.empty((1 + WORK_PLANES, nv, n_c))
+            for col, i in enumerate(swept):
+                total, squares, out = run_slice(starts[i], z, lo, hi, rows, planes)
+                sums[:, col, lo * nv : hi * nv] += (total, squares)
+                outside += out
+        return outside
+
+    blocks = _node_blocks(x_nodes.size, mc.threads)
+    n_out = sum(_map_chunks(run_block, blocks, mc.threads)) if swept else 0
     mean[swept] = sums[0] / n
     var = np.maximum(sums[1] - n * mean[swept] * mean[swept], 0.0) / (n - 1.0)
     stderr[swept] = np.sqrt(var / n)

@@ -315,21 +315,22 @@ class MartingaleReport:
 def martingale_residual(
     spec: MarketSpec,
     model: VolModel,
-    u,
+    fields,
     start,
     checkpoints,
     n_paths: int,
     seed: int,
     grid: TimeGrid,
     threads: int = 1,
-) -> MartingaleReport:
+) -> list:
     """Check that discounted-value-plus-accumulated-drift has flat means.
 
-    Simulates fresh paths of the measure-changed model, forms
-    M_t = D_t u(t, X, V) G_t + int_0^t D dA along them, and tests the mean
-    increment between consecutive checkpoints against zero at three
-    standard errors.  Raises CoverageError when more than 1% of the
-    visited states fall outside u's hull.
+    Simulates one set of fresh paths of the measure-changed model, forms
+    M_t = D_t u(t, X, V) G_t + int_0^t D dA along them for each field u
+    in ``fields``, and tests the mean increment between consecutive
+    checkpoints against zero at three standard errors.  Returns one
+    MartingaleReport per field, in order.  Raises CoverageError when more
+    than 1% of the states visited by a field fall outside its hull.
     """
     checkpoints = np.asarray(sorted(float(c) for c in checkpoints))
     nodes = grid.nodes
@@ -353,49 +354,49 @@ def martingale_residual(
     g_joint = curve.joint
     disc = discount_nodes(spec.fn("rate"), nodes)
     rates = np.stack(_driver_rates(spec, nodes))
+    reports = []
+    for u in fields:
+        outside = 0
+        m_at = np.empty((len(idx), n))
+        integral = np.zeros(n)
+        prev_integrand = None
+        pos = 0
+        for k, t in enumerate(nodes):
+            u_k = np.asarray(u.evaluate_at_time(t, x[:, k], v[:, k]), dtype=float)
+            outside += int(np.count_nonzero(u.outside(x[:, k], v[:, k])))
+            state = (np.exp(x[:, k]), v[:, k], u_k)
+            integrand = disc[k] * _a_increment(spec, g_joint[k], rates[:, k], t, state)
+            if prev_integrand is not None:
+                integral = integral + 0.5 * (prev_integrand + integrand) * grid.dt
+            prev_integrand = integrand
+            if pos < len(idx) and k == idx[pos]:
+                m_at[pos] = disc[k] * u_k * g_joint[k] + integral
+                pos += 1
 
-    outside = 0
-    total = 0
-    m_at = np.empty((len(idx), n))
-    integral = np.zeros(n)
-    prev_integrand = None
-    pos = 0
-    for k, t in enumerate(nodes):
-        u_k = np.asarray(u.evaluate_at_time(t, x[:, k], v[:, k]), dtype=float)
-        outside += int(np.count_nonzero(u.outside(x[:, k], v[:, k])))
-        total += n
-        state = (np.exp(x[:, k]), v[:, k], u_k)
-        integrand = disc[k] * _a_increment(spec, g_joint[k], rates[:, k], t, state)
-        if prev_integrand is not None:
-            integral = integral + 0.5 * (prev_integrand + integrand) * grid.dt
-        prev_integrand = integrand
-        if pos < len(idx) and k == idx[pos]:
-            m_at[pos] = disc[k] * u_k * g_joint[k] + integral
-            pos += 1
+        coverage = outside / (n * len(nodes)) if n else 0.0
+        if coverage > 0.01:
+            raise CoverageError(
+                f"{coverage:.2%} of visited states fell outside the value grid hull"
+            )
 
-    coverage = outside / total if total else 0.0
-    if coverage > 0.01:
-        raise CoverageError(
-            f"{coverage:.2%} of visited states fell outside the value grid hull"
+        dm = np.diff(m_at, axis=0)
+        means = dm.mean(axis=1)
+        stderrs = dm.std(axis=1, ddof=1) / math.sqrt(n)
+        # degenerate increments (zero spread) must still reject a nonzero mean
+        floor = 1e-12 * (1.0 + float(np.max(np.abs(m_at))))
+        z = np.where(
+            stderrs > 0.0,
+            np.abs(means) / np.where(stderrs > 0.0, stderrs, 1.0),
+            np.where(np.abs(means) > floor, np.inf, 0.0),
         )
-
-    dm = np.diff(m_at, axis=0)
-    means = dm.mean(axis=1)
-    stderrs = dm.std(axis=1, ddof=1) / math.sqrt(n)
-    # degenerate increments (zero spread) must still reject a nonzero mean
-    floor = 1e-12 * (1.0 + float(np.max(np.abs(m_at))))
-    z = np.where(
-        stderrs > 0.0,
-        np.abs(means) / np.where(stderrs > 0.0, stderrs, 1.0),
-        np.where(np.abs(means) > floor, np.inf, 0.0),
-    )
-    return MartingaleReport(
-        t_from=nodes[idx[:-1]],
-        t_to=nodes[idx[1:]],
-        means=means,
-        stderrs=stderrs,
-        n_paths=n,
-        coverage_fraction=coverage,
-        max_abs_z=float(z.max()),
-        ok=bool(np.all(z <= 3.0)),
-    )
+        reports.append(MartingaleReport(
+            t_from=nodes[idx[:-1]],
+            t_to=nodes[idx[1:]],
+            means=means,
+            stderrs=stderrs,
+            n_paths=n,
+            coverage_fraction=coverage,
+            max_abs_z=float(z.max()),
+            ok=bool(np.all(z <= 3.0)),
+        ))
+    return reports

@@ -224,16 +224,12 @@ def check_martingale(setup: RunSetup, threads: int):
         # stderr; the oracle checks cover point accuracy with honest errors,
         # so the flatness test starts at the first interior checkpoint
         checkpoints = t_small[1:] if len(t_small) >= 3 else t_small
-        mart = martingale_residual(
-            setup.spec, setup.model_q, rep.u, start, checkpoints,
-            n_paths=8000, seed=setup.master_seed + 7919, grid=fresh, threads=threads,
-        )
         const = GridFunction(
             rep.u.t_nodes, rep.u.x_nodes, rep.u.v_nodes,
             np.full_like(rep.u.values, float(rep.u.values.mean()) + 1.0),
         )
-        control = martingale_residual(
-            setup.spec, setup.model_q, const, start, checkpoints,
+        mart, control = martingale_residual(
+            setup.spec, setup.model_q, (rep.u, const), start, checkpoints,
             n_paths=8000, seed=setup.master_seed + 7919, grid=fresh, threads=threads,
         )
         ok = mart.ok and not control.ok

@@ -34,13 +34,14 @@ class InvariantError(ValueError):
 def as_time_fn(value) -> TimeFn:
     """Normalise a constant or callable into a time function.
 
-    A time function maps an array of times to an array of the same shape
-    (a scalar time to a scalar); a constant becomes ``np.full`` of it.
+    A time function maps a time to a value; it may return a scalar for an
+    array of times, which ``on_times`` broadcasts.  A constant becomes a
+    function that returns it at any time.
     """
     if callable(value):
         return value
     const = float(value)
-    return lambda t: np.full(np.shape(t), const)
+    return lambda t: const
 
 
 def on_times(value, times) -> np.ndarray:

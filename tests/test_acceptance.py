@@ -339,8 +339,12 @@ def test_compensated_value_is_flat_on_fresh_paths(xva_solution):
     # bar includes the field's resolution floor
     checkpoints = np.linspace(0.0, T_END, 5)[1:]
     fresh = TimeGrid(0.0, T_END, 100)
-    mart = martingale_residual(
-        spec, model, rep.u, (X0, 0.04), checkpoints,
+    flat = GridFunction(
+        rep.u.t_nodes, rep.u.x_nodes, rep.u.v_nodes,
+        np.full_like(rep.u.values, 5.0),
+    )
+    mart, control = martingale_residual(
+        spec, model, (rep.u, flat), (X0, 0.04), checkpoints,
         n_paths=20000, seed=777, grid=fresh, threads=2,
     )
     assert mart.max_abs_z <= 3.0
@@ -353,14 +357,6 @@ def test_compensated_value_is_flat_on_fresh_paths(xva_solution):
     node_gap = abs(float(rep.u.evaluate_at_time(0.0, X0, 0.04)) - ref)
     assert node_gap <= 3.0 * (ref_err + rep.stderr_floor)
 
-    flat = GridFunction(
-        rep.u.t_nodes, rep.u.x_nodes, rep.u.v_nodes,
-        np.full_like(rep.u.values, 5.0),
-    )
-    control = martingale_residual(
-        spec, model, flat, (X0, 0.04), checkpoints,
-        n_paths=20000, seed=777, grid=fresh, threads=2,
-    )
     assert not control.ok
     assert time.perf_counter() - start < 120.0
 

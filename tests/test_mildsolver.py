@@ -1,8 +1,7 @@
 import io
 import json
 import math
-import sys
-import time
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +12,7 @@ from xvamild import mildsolver
 from xvamild.gridfn import GridFunction, _cells, save_grid, write_grid_csv, write_table
 from xvamild.mildsolver import (
     _STATE_BUDGET,
-    _BLOCK_CAP,
     _node_blocks,
-    _shared,
     _sweep_slices,
     McConfig,
     apply_mild_map,
@@ -28,7 +25,7 @@ from xvamild.mildsolver import (
     refine_point,
     sup_diff,
 )
-from xvamild.simulate import _CHUNK, TimeGrid, _map_chunks, simulate_paths
+from xvamild.simulate import _CHUNK, TimeGrid, simulate_paths
 from xvamild.special import GammaParams
 from xvamild.valuation import (
     MarketSpec,
@@ -615,54 +612,41 @@ def test_node_blocks_cover_the_nodes_in_near_equal_order(n_nodes, threads):
         assert blocks == [(0, n_nodes)]
 
 
-def test_shared_draw_runs_once_per_chunk_under_thread_contention():
-    drawn = []
-    users = 5
-
-    def draw(key):
-        drawn.append(key)
-        time.sleep(1e-4)  # a slow draw: callers of the same key arrive while it runs
-        return np.full(3, key)
-
-    tasks = [(key, j) for key in range(40) for j in range(users)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        get = _shared(draw, users)
-        out = _map_chunks(lambda task: (task, get(task[0])), tasks, 8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [task for task, _ in out] == tasks
-    assert all(np.array_equal(z, np.full(3, task[0])) for task, z in out)
-    assert sorted(drawn) == list(range(40))
-
-
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_each_chunk_is_drawn_once_per_sweep(monkeypatch, threads):
+    # each block of x rows draws every chunk's normals once, in chunk order
     spec, model, u = multi_chunk_problem()
-    draws = []  # one list of drawn chunks per _sweep_slices call
-    real_shared = mildsolver._shared
+    sweeps = []  # per _sweep_slices call: the chunks each block drew, in order
+    local = threading.local()
+    real_map, real_seed = mildsolver._map_chunks, np.random.SeedSequence
 
-    def counting(draw, users):
-        drawn = []
-        draws.append(drawn)
+    def mapped(fn, blocks, n_threads):
+        drawn = {block: [] for block in blocks}
+        sweeps.append(drawn)
 
-        def counted(chunk):
-            drawn.append(chunk[0])
-            return draw(chunk)
+        def run(block):
+            local.drawn = drawn[block]
+            return fn(block)
 
-        return real_shared(counted, users)
+        return real_map(run, blocks, n_threads)
 
-    monkeypatch.setattr(mildsolver, "_shared", counting)
+    def seeded(entropy):
+        local.drawn.append(entropy[2])
+        return real_seed(entropy)
+
+    monkeypatch.setattr(mildsolver, "_map_chunks", mapped)
+    monkeypatch.setattr(np.random, "SeedSequence", seeded)
     mc = McConfig(n_paths=9600, n_steps=6, master_seed=4, threads=threads)
     n_nodes = len(u.x_nodes) * len(u.v_nodes)
     apply_mild_map(spec, model, u, u.t_nodes, u.x_nodes, u.v_nodes, mc)
     refine_point(spec, model, u, (0.0, X0, 0.04), mc, 8500)
     assert len(u.t_nodes) - 1 >= 3  # several slices share each draw
-    assert [sorted(d) for d in draws] == [
-        list(range(math.ceil(9600 / min(_CHUNK, _STATE_BUDGET // n_nodes)))),
-        list(range(math.ceil(8500 / _CHUNK))),
+    grid_chunks = list(range(math.ceil(9600 / min(_CHUNK, _STATE_BUDGET // n_nodes))))
+    assert sweeps == [
+        {block: grid_chunks for block in _node_blocks(len(u.x_nodes), threads)},
+        {(0, 1): list(range(math.ceil(8500 / _CHUNK)))},
     ]
+    assert len(sweeps[0]) == threads
 
 
 def test_single_chunk_sweeps_are_bit_identical_across_thread_counts():
@@ -672,7 +656,7 @@ def test_single_chunk_sweeps_are_bit_identical_across_thread_counts():
     mc = McConfig(n_paths=1500, n_steps=6, master_seed=4)
     assert mc.n_paths <= min(_CHUNK, _STATE_BUDGET // (len(x) * len(v)))  # one chunk
     runs = []
-    for threads in (1, 2, 3):
+    for threads in (1, 2, 3, 8):  # 8 threads: more than the 7 x rows, so one block per row
         mc_t = replace(mc, threads=threads)
         swept, err, cov = apply_mild_map(spec, model, u, u.t_nodes, x, v, mc_t)
         terminal, err0, _ = apply_mild_map(spec, model, None, u.t_nodes, x, v, mc_t)
@@ -704,7 +688,7 @@ def test_node_blocked_sweep_matches_single_node_sweeps(threads):
     n_nodes = x.size * v.size
     mc = McConfig(n_paths=1500, n_steps=6, master_seed=4, threads=threads)
     assert mc.n_paths <= min(_CHUNK, _STATE_BUDGET // n_nodes)  # one chunk
-    assert n_nodes * mc.n_paths > 2 * _BLOCK_CAP  # three node blocks at one thread
+    assert len(_node_blocks(x.size, threads)) == threads  # a block per thread: 3 at threads=3
     master = TimeGrid(0.0, 0.5, mc.n_steps)
     starts = [0, 2, 4, 6]
     for u_prev in (u, None):

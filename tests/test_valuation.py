@@ -9,6 +9,7 @@ from xvamild.config import build_run, normalise_config
 from xvamild.defaultclock import DefaultSpec, PartyDefault, survival_curve
 from xvamild.gridfn import CoverageError, GridFunction
 from xvamild.mildsolver import McConfig, apply_mild_map
+from xvamild import valuation
 from xvamild.simulate import TimeGrid
 from xvamild.special import (
     DomainError,
@@ -365,10 +366,10 @@ def test_martingale_residual_discounted_stock():
     x0 = math.log(100.0)
     u = stock_value_grid(x0, 0.9, np.exp)
     grid = TimeGrid(0.0, 0.5, 50)
-    report = martingale_residual(
+    (report,) = martingale_residual(
         riskfree_spec(r),
         model,
-        u,
+        [u],
         (x0, 0.04),
         checkpoints=[0.0, 0.1, 0.25, 0.5],
         n_paths=4000,
@@ -388,10 +389,10 @@ def test_martingale_residual_rejects_constant_candidate():
     model = measure_change(build_power_model(black_scholes_params()), r, 0.0)
     x0 = math.log(100.0)
     u = stock_value_grid(x0, 0.9, lambda x: np.ones_like(x))
-    report = martingale_residual(
+    (report,) = martingale_residual(
         riskfree_spec(r),
         model,
-        u,
+        [u],
         (x0, 0.04),
         checkpoints=[0.0, 0.25, 0.5],
         n_paths=500,
@@ -400,6 +401,30 @@ def test_martingale_residual_rejects_constant_candidate():
     )
     assert not report.ok
     assert report.max_abs_z > 3.0
+
+
+def test_martingale_residual_reports_each_field_as_its_own_call(monkeypatch):
+    # one simulation serves every field, and each field's report is the one a
+    # call with that field alone gives
+    r = 0.03
+    model = measure_change(build_power_model(black_scholes_params()), r, 0.0)
+    x0 = math.log(100.0)
+    fields = [stock_value_grid(x0, 0.9, np.exp), stock_value_grid(x0, 0.9, np.cos)]
+    args = ((x0, 0.04), [0.0, 0.25, 0.5], 500, 94, TimeGrid(0.0, 0.5, 50))
+    alone = [martingale_residual(riskfree_spec(r), model, [u], *args)[0] for u in fields]
+    simulated = []
+    simulate = valuation.simulate_paths
+
+    def counted(*a, **k):
+        simulated.append(a)
+        return simulate(*a, **k)
+
+    monkeypatch.setattr(valuation, "simulate_paths", counted)
+    together = martingale_residual(riskfree_spec(r), model, fields, *args)
+    assert len(simulated) == 1 and len(together) == 2
+    for got, want in zip(together, alone):
+        for field in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
 
 
 def test_martingale_residual_coverage_alarm():
@@ -411,7 +436,7 @@ def test_martingale_residual_coverage_alarm():
         martingale_residual(
             riskfree_spec(r),
             model,
-            u,
+            [u],
             (x0, 0.04),
             checkpoints=[0.0, 0.5],
             n_paths=200,
@@ -428,7 +453,7 @@ def test_martingale_residual_checkpoint_must_hit_grid():
         martingale_residual(
             riskfree_spec(r),
             model,
-            u,
+            [u],
             (math.log(100.0), 0.04),
             checkpoints=[0.0, 0.333],
             n_paths=10,
