@@ -4,9 +4,11 @@ Values live on a tensor grid (t_nodes, x_nodes, v_nodes).  Evaluation
 interpolates linearly inside the hull and extrapolates flat outside it
 (``outside`` flags such queries).  The x and v axes must be uniform, so a
 query's cell and weight come from its scaled coordinate by arithmetic; the
-t axis may be any increasing axis.  The package's one CSV writer,
-``write_table``, writes the value grid here and the command line's path,
-survival and density tables.
+t axis may be any increasing axis.  ``evaluate_at_time`` also reads many x
+nodes at one shared shift (``rows``): the cells are found once for the
+shift and each node reads its own corners of an edge-padded plane.  The
+package's one CSV writer, ``write_table``, writes the value grid here and
+the command line's path, survival and density tables.
 """
 
 from __future__ import annotations
@@ -42,14 +44,21 @@ def _check_uniform(name: str, nodes: np.ndarray) -> None:
         raise InvariantError(f"{name} nodes must be uniformly spaced")
 
 
-def _cells(nodes: np.ndarray, q: np.ndarray) -> tuple:
-    """(cell i, weight) of queries q on a uniform axis: the scaled coordinate, clipped to
-    [0, cells], split into its floor (at most the last cell) and fractional part."""
-    last = len(nodes) - 2
-    w = np.subtract(q, nodes[0], dtype=float)
-    w *= (last + 1) / (nodes[-1] - nodes[0])
-    np.clip(w, 0.0, last + 1, out=w)
-    i = np.fmin(np.floor(w), last)
+def _cells(nodes: np.ndarray, q: np.ndarray, shift: bool = False) -> tuple:
+    """(cell i, weight) of queries q on a uniform axis.
+
+    A plain query's scaled coordinate (q - nodes[0]) * cells / span is clipped to
+    [0, cells].  A ``shift`` q moves away from any node: q * cells / span is
+    clipped to [-cells, cells], which already carries every node past the hull
+    edge it crosses.  The floor, capped one below the top of the clip by
+    ``np.fmin``, is the cell and the rest the weight, so NaN keeps a NaN weight
+    and never reaches the integer cast.
+    """
+    cells = len(nodes) - 1
+    w = np.subtract(q, 0.0 if shift else nodes[0], dtype=float)
+    w *= cells / (nodes[-1] - nodes[0])
+    np.clip(w, -cells if shift else 0, cells, out=w)
+    i = np.fmin(np.floor(w), cells - 1)
     w -= i
     return i.astype(np.intp), w
 
@@ -100,30 +109,46 @@ class GridFunction:
             return self.values[i]
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
-    def _bilinear(self, plane: np.ndarray, x, v):
+    def _bilinear(self, plane: np.ndarray, x, v, rows=None):
         """Bilinear value of one time plane at (x, v), flat outside the hull.
 
-        The x and v cells and weights come from ``_cells`` on the uniform
-        axes; values agree with a binary-search lookup to within a few ulps.
+        With ``rows``, x is a shift shared by those x nodes and the result
+        gains a leading row axis: the cells and the four corner weights are
+        found once per (x, v) shift, and row j reads its corners j * nv
+        further into a plane padded with nx - 1 copies of each edge row, so
+        flat extrapolation needs no per-element clip.  A plain query is row 0
+        of an unpadded plane.  A row's value depends on its node and the
+        shift alone, never on the other rows.  Values agree with a
+        binary-search lookup to within a few ulps.
         """
-        nv = len(self.v_nodes)
-        ix, wx = _cells(self.x_nodes, np.atleast_1d(x))
+        nx, nv = plane.shape
+        pad = 0 if rows is None else nx - 1
+        ix, wx = _cells(self.x_nodes, np.atleast_1d(x), shift=rows is not None)
         iv, wv = _cells(self.v_nodes, np.atleast_1d(v))
-        corner = ix * nv + iv
+        flat = plane[np.clip(np.arange(-pad, nx + pad), 0, nx - 1)].ravel()
+        corner = (ix + pad) * nv + iv  # node 0's corners in the padded plane
+        at = [0] if rows is None else [int(j) for j in rows]
         ox, ov = 1.0 - wx, 1.0 - wv
-        flat = plane.ravel()
-        out = np.full(corner.shape, -0.0)  # -0.0 + a == a for every a, signed zeros included
+        out = np.empty((len(at),) + corner.shape)
         part = np.empty_like(out)
         for offset, wa, wb in ((0, ox, ov), (nv, wx, ov), (1, ox, wv), (nv + 1, wx, wv)):
-            flat[offset:].take(corner, out=part, mode="clip")
-            part *= wa
-            part *= wb
-            out += part
-        return out.reshape(np.broadcast_shapes(np.shape(x), np.shape(v)))[()]
+            into = part if offset else out  # the first corner's products start the sum
+            for r, j in enumerate(at):
+                flat[j * nv + offset :].take(corner, out=into[r], mode="clip")
+            into *= np.multiply(wa, wb)
+            if offset:
+                out += part
+        shape = np.broadcast_shapes(np.shape(x), np.shape(v))
+        return out.reshape(shape)[()] if rows is None else out.reshape((len(at),) + shape)
 
-    def evaluate_at_time(self, t: float, x, v):
-        """Interpolate at one time for vectors of (x, v)."""
-        return self._bilinear(self._plane_at(float(t)), np.asarray(x), np.asarray(v))
+    def evaluate_at_time(self, t: float, x, v, rows=None):
+        """Interpolate at one time for vectors of (x, v).
+
+        With ``rows``, a list of x-node indices, x is a shift shared by those
+        nodes: the value at node j is read at x_nodes[j] + x, and the result
+        has a leading axis over the rows.
+        """
+        return self._bilinear(self._plane_at(float(t)), np.asarray(x), np.asarray(v), rows)
 
 
 def sup_diff(a: GridFunction, b: GridFunction) -> float:

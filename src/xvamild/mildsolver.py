@@ -19,7 +19,11 @@ survival slopes, and the chunk layout) is tabulated once per sweep on
 the master nodes; the driver runs when an iterate is given.  V is
 autonomous and the log-price increment reads V alone, so every x node of
 a v column rides one V path: a sweep steps V and its coefficients once
-per v node.  Every sweep cuts the x rows into blocks, one per thread
+per v node.  The increment never reads x either, so X from x is x plus
+X from 0: a sweep steps one log-price shift per v node and path, every x
+row reads its start node plus that shift, and when the rows are nodes of
+the iterate the gather finds the shift's cells once for all of them.
+Every sweep cuts the x rows into blocks, one per thread
 (one per row when rows are fewer, one block at one thread), and hands
 one task per block to the package's one executor,
 ``simulate._map_chunks``.  A task draws each chunk's normals itself and
@@ -128,11 +132,16 @@ def _sweep_slices(
     ``_node_blocks`` cuts the x rows into one block per thread, one per
     row when rows are fewer, and one ``simulate._map_chunks`` call runs
     one task per block.  A task walks the chunks in order; for each it
-    draws the chunk's normals itself, holds x and the integral as (rows,
-    nv, paths) and v and the Euler work planes as (nv, paths), so V, its
-    coefficients, the gather's v cells and ``outside``'s v tests run once
-    per v node and broadcast over the rows, and sweeps every slice with
-    m_start < m_end in order through these arrays.  Each node's sums
+    draws the chunk's normals itself and sweeps every slice with m_start
+    < m_end in order through one set of arrays.  The Euler step moves v,
+    its work planes and the log-price shift d, all (nv, paths), so V and
+    its coefficients run once per v node.  The rows' x, (rows, nv, paths),
+    is formed as start node plus d once per driver step, for ``outside``
+    and the driver's price.  When every x row is a node of u_prev, the
+    gather gets d and the rows' node indices, so it finds its cells once
+    per (v node, path); otherwise it reads the full x.  The driver
+    integral is a running sum of the rates, end points halved, times dt
+    once per slice.  Each node's sums
     reduce along its own paths and are added, chunk after chunk, into the
     block's own columns of one (2, slices, nodes) array; blocks own
     disjoint columns, so they need no lock and no merge, and every node
@@ -153,36 +162,39 @@ def _sweep_slices(
         phi = np.asarray(payoff(np.exp(x), v), dtype=float)
         return np.ascontiguousarray(np.broadcast_to(phi, np.broadcast_shapes(x.shape, v.shape)))
 
-    def trapezoid(prev_rate, rate, integral):
-        # integral += 0.5 * (prev_rate + rate) * dt, rounded alike, in prev_rate's buffer
-        prev_rate += rate
-        prev_rate *= 0.5
-        prev_rate *= dt
-        integral += prev_rate
+    at = None  # the x rows as node indices of u_prev, when every row is a node
+    if u_prev is not None and np.isin(x_nodes, u_prev.x_nodes).all():
+        at = np.searchsorted(u_prev.x_nodes, x_nodes).tolist()
 
     def run_slice(m_start: int, z: np.ndarray, lo: int, hi: int, rows, planes):
-        # rows: x and the integral; planes: v and the step's work; reused slice after slice
-        (x, integral), v, work = rows, planes[0], planes[1:]
-        x[...] = x_nodes[lo:hi, None, None]
+        # rows: x and the integral; planes: the shift d, v and the step's work; all reused
+        (x, integral), (d, v), work = rows, planes[:2], planes[2:]
+        starts_x = x_nodes[lo:hi, None, None]
+        block_rows = None if at is None else at[lo:hi]
+        query = x if at is None else d  # the gather reads the full x or the rows' shared shift
+        d.fill(0.0)
         v[...] = v_nodes[:, None]
         integral.fill(0.0)
-        prev_rate = None
         outside = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(m_start, m_end):
                 t = nodes[k]
                 if u_prev is not None:
+                    np.add(starts_x, d, out=x)
                     outside += int(np.count_nonzero(u_prev.outside(x, v)))
-                    y = u_prev.evaluate_at_time(t, x, v)
+                    y = u_prev.evaluate_at_time(t, query, v, rows=block_rows)
                     rate = _driver_at(spec, terms[:, k], t, np.exp(x), v, y)
-                    if prev_rate is not None:
-                        trapezoid(prev_rate, rate, integral)
-                    prev_rate = rate
-                _euler_step(model, steps, k, t, x, v, dt, z[k, :, 0], z[k, :, 1], work)
+                    if k == m_start:
+                        rate *= 0.5
+                    integral += rate
+                _euler_step(model, steps, k, t, d, v, dt, z[k, :, 0], z[k, :, 1], work)
+        np.add(starts_x, d, out=x)
         est = terminal(x, v)
         if u_prev is not None:
-            rate_end = _driver_at(spec, terms[:, m_end], nodes[m_end], np.exp(x), v, est)
-            trapezoid(prev_rate, rate_end, integral)
+            rate = _driver_at(spec, terms[:, m_end], nodes[m_end], np.exp(x), v, est)
+            rate *= 0.5
+            integral += rate
+            integral *= dt
             integral += est
             est = integral
         if not np.all(np.isfinite(est)):
@@ -211,7 +223,7 @@ def _sweep_slices(
             )
             z = rng.standard_normal((m_end, n_c, 2)) * sq_dt
             rows = np.empty((2, hi - lo, nv, n_c))
-            planes = np.empty((1 + WORK_PLANES, nv, n_c))
+            planes = np.empty((2 + WORK_PLANES, nv, n_c))
             for col, i in enumerate(swept):
                 total, squares, out = run_slice(starts[i], z, lo, hi, rows, planes)
                 sums[:, col, lo * nv : hi * nv] += (total, squares)

@@ -189,6 +189,34 @@ def test_gridfunction_rejects_non_uniform_x_and_v_axes(axis):
         GridFunction(np.array([0.0, 1.0]), good, bad, values.transpose(0, 2, 1))
 
 
+@pytest.mark.parametrize("x_axis", ["linspace", "three", "two"])
+def test_row_shift_gather_matches_plain_gather(x_axis):
+    # rows on nodes ride one shift: each row reads its node plus the shift, flat
+    # past either hull edge, NaN where the shift is NaN
+    xn, vn = UNIFORM_AXES[x_axis], UNIFORM_AXES["fixture_v"]
+    rng = np.random.default_rng(len(xn))
+    plane = rng.normal(size=(len(xn), len(vn)))
+    g = GridFunction(np.array([0.0, 1.0]), xn, vn, np.stack([plane, 2.0 * plane]))
+    span, cells = xn[-1] - xn[0], len(xn) - 1
+    shifts = np.concatenate([
+        rng.uniform(-1.2 * span, 1.2 * span, 60),
+        np.arange(-cells, cells + 1) * (span / cells),  # every row onto every node and edge
+        [span, -span, span + 1.0, -span - 1.0, np.inf, -np.inf, np.nan],
+    ])
+    d, vq = np.meshgrid(shifts, gather_queries(vn)[::4])  # a (v node, path)-like plane
+    everything = list(range(len(xn)))
+    for rows in (everything, [0], [cells], everything[1:3]):
+        got = g.evaluate_at_time(0.25, d, vq, rows=rows)
+        want = g.evaluate_at_time(0.25, xn[rows][:, None, None] + d, vq)
+        assert got.shape == (len(rows),) + d.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(np.isnan(got), np.broadcast_to(np.isnan(d) | np.isnan(vq), got.shape))
+        finite = ~np.isnan(got)
+        assert np.max(np.abs(got[finite] - want[finite])) <= 2.0 * gather_bound(xn, vn, 1.5 * plane)
+        # a row's value reads its node and the shift alone, not the other rows
+        assert got.tobytes() == g.evaluate_at_time(0.25, d, vq, rows=everything)[rows].tobytes()
+
+
 def test_non_uniform_time_axis_blends_planes_exactly():
     t = np.array([0.0, 0.1, 0.5])
     x = np.linspace(-1.0, 1.0, 5)
@@ -726,6 +754,28 @@ def test_sweep_steps_the_variance_once_per_v_node(threads):
         apply_mild_map(spec, model, u_prev, u.t_nodes, x, v, mc)
         assert shapes
         assert all(len(shape) == 2 and shape[0] == v.size for shape in shapes), set(shapes)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_gathers_x_rows_on_one_shift_plane(threads, monkeypatch):
+    # X - x does not depend on x, so rows on u_prev's x nodes hand the gather one
+    # (nv, paths) shift plane and their node indices, never a plane over the rows
+    spec, model, u = multi_chunk_problem()
+    calls = []
+    gather = GridFunction.evaluate_at_time
+
+    def recorded(self, t, x, v, **rows):
+        calls.append((np.shape(x), rows.get("rows")))
+        return gather(self, t, x, v, **rows)
+
+    x, v = u.x_nodes[7:14], np.linspace(0.02, 0.2, 5)
+    mc = McConfig(n_paths=1500, n_steps=6, master_seed=4, threads=threads)
+    monkeypatch.setattr(GridFunction, "evaluate_at_time", recorded)
+    apply_mild_map(spec, model, u, u.t_nodes, x, v, mc)
+    assert calls
+    assert all(shape == (v.size, mc.n_paths) for shape, _ in calls), {s for s, _ in calls}
+    blocks = {tuple(rows) for _, rows in calls}
+    assert sorted(j for rows in blocks for j in rows) == list(range(7, 14))
 
 
 def test_payoff_and_dividend_that_read_v_alone_broadcast_over_x():

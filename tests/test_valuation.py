@@ -675,9 +675,9 @@ def test_exploding_paths_raise_as_before_through_the_gather(monkeypatch):
     seen = []
     gather = GridFunction.evaluate_at_time
 
-    def spy(self, tt, xq, vq):
+    def spy(self, tt, xq, vq, rows=None):
         seen.append(bool(np.all(np.isfinite(xq)) and np.all(np.isfinite(vq))))
-        return gather(self, tt, xq, vq)
+        return gather(self, tt, xq, vq, rows=rows)
 
     monkeypatch.setattr(GridFunction, "evaluate_at_time", spy)
     mc = McConfig(n_paths=256, n_steps=16, master_seed=3)
