@@ -368,7 +368,7 @@ def _piecewise_dividend(norm: dict) -> Callable:
     fn = _timefn_build(norm)
 
     def pi(t, s, v):
-        return np.full_like(np.asarray(s, dtype=float), float(fn(t)))
+        return float(fn(t))
 
     return pi
 

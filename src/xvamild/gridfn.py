@@ -7,6 +7,8 @@ query's cell and weight come from its scaled coordinate by arithmetic; the
 t axis may be any increasing axis.  ``evaluate_at_time`` also reads many x
 nodes at one shared shift (``rows``): the cells are found once for the
 shift and each node reads its own corners of an edge-padded plane.  The
+interpolation runs v first, so each x row read is interpolated in v once
+and each node then interpolates its two x neighbours.  The
 package's one CSV writer, ``write_table``, writes the value grid here and
 the command line's path, survival and density tables.
 """
@@ -113,31 +115,36 @@ class GridFunction:
         """Bilinear value of one time plane at (x, v), flat outside the hull.
 
         With ``rows``, x is a shift shared by those x nodes and the result
-        gains a leading row axis: the cells and the four corner weights are
-        found once per (x, v) shift, and row j reads its corners j * nv
-        further into a plane padded with nx - 1 copies of each edge row, so
-        flat extrapolation needs no per-element clip.  A plain query is row 0
-        of an unpadded plane.  A row's value depends on its node and the
-        shift alone, never on the other rows.  Values agree with a
-        binary-search lookup to within a few ulps.
+        gains a leading row axis: the cells and weights are found once per
+        (x, v) shift, and row j reads its corners j * nv further into a
+        plane padded with nx - 1 copies of each edge row, so flat
+        extrapolation needs no per-element clip.  The interpolation runs v
+        first: each padded x row that some row reads is lerped in v once,
+        with two ``take`` calls, and each row then lerps its two x
+        neighbours, so a run of contiguous rows costs 2 * (rows + 1) takes,
+        not 4 * rows.  A plain query is row 0 of an unpadded plane.  A row's
+        value depends on its node and the shift alone, never on the other
+        rows.  Values agree with a binary-search lookup to within a few ulps.
         """
         nx, nv = plane.shape
         pad = 0 if rows is None else nx - 1
         ix, wx = _cells(self.x_nodes, np.atleast_1d(x), shift=rows is not None)
         iv, wv = _cells(self.v_nodes, np.atleast_1d(v))
         flat = plane[np.clip(np.arange(-pad, nx + pad), 0, nx - 1)].ravel()
-        corner = (ix + pad) * nv + iv  # node 0's corners in the padded plane
+        corner = (ix + pad) * nv + iv  # node 0's lower corner in the padded plane
         at = [0] if rows is None else [int(j) for j in rows]
         ox, ov = 1.0 - wx, 1.0 - wv
+        part = np.empty(corner.shape)
+        lerp = {}
+        for j in {j + step for j in at for step in (0, 1)}:  # each x row read, lerped in v
+            low = flat[j * nv :].take(corner, mode="clip")
+            low *= ov
+            low += np.multiply(flat[j * nv + 1 :].take(corner, out=part, mode="clip"), wv, out=part)
+            lerp[j] = low
         out = np.empty((len(at),) + corner.shape)
-        part = np.empty_like(out)
-        for offset, wa, wb in ((0, ox, ov), (nv, wx, ov), (1, ox, wv), (nv + 1, wx, wv)):
-            into = part if offset else out  # the first corner's products start the sum
-            for r, j in enumerate(at):
-                flat[j * nv + offset :].take(corner, out=into[r], mode="clip")
-            into *= np.multiply(wa, wb)
-            if offset:
-                out += part
+        for r, j in enumerate(at):  # then each row in x, from its two neighbours
+            np.multiply(lerp[j], ox, out=out[r])
+            out[r] += np.multiply(lerp[j + 1], wx, out=part)
         shape = np.broadcast_shapes(np.shape(x), np.shape(v))
         return out.reshape(shape)[()] if rows is None else out.reshape((len(at),) + shape)
 

@@ -136,12 +136,13 @@ def _sweep_slices(
     < m_end in order through one set of arrays.  The Euler step moves v,
     its work planes and the log-price shift d, all (nv, paths), so V and
     its coefficients run once per v node.  The rows' x, (rows, nv, paths),
-    is formed as start node plus d once per driver step, for ``outside``
-    and the driver's price.  When every x row is a node of u_prev, the
-    gather gets d and the rows' node indices, so it finds its cells once
-    per (v node, path); otherwise it reads the full x.  The driver
-    integral is a running sum of the rates, end points halved, times dt
-    once per slice.  Each node's sums
+    is formed as start node plus d once per driver step, for ``outside``,
+    and then overwritten by the driver's price s = exp(x).  When every x
+    row is a node of u_prev, the gather gets d and the rows' node indices,
+    so it finds its cells once per (v node, path); otherwise it reads the
+    full x before s overwrites it.  The driver writes its rates into the
+    block's own two buffers.  The driver integral is a running sum of the
+    rates, end points halved, times dt once per slice.  Each node's sums
     reduce along its own paths and are added, chunk after chunk, into the
     block's own columns of one (2, slices, nodes) array; blocks own
     disjoint columns, so they need no lock and no merge, and every node
@@ -167,8 +168,9 @@ def _sweep_slices(
         at = np.searchsorted(u_prev.x_nodes, x_nodes).tolist()
 
     def run_slice(m_start: int, z: np.ndarray, lo: int, hi: int, rows, planes):
-        # rows: x and the integral; planes: the shift d, v and the step's work; all reused
-        (x, integral), (d, v), work = rows, planes[:2], planes[2:]
+        # rows: x (then s), the integral and the driver's two buffers; planes: the
+        # shift d, v and the step's work; all reused
+        (x, integral, rate, scratch), (d, v), work = rows, planes[:2], planes[2:]
         starts_x = x_nodes[lo:hi, None, None]
         block_rows = None if at is None else at[lo:hi]
         query = x if at is None else d  # the gather reads the full x or the rows' shared shift
@@ -183,7 +185,8 @@ def _sweep_slices(
                     np.add(starts_x, d, out=x)
                     outside += int(np.count_nonzero(u_prev.outside(x, v)))
                     y = u_prev.evaluate_at_time(t, query, v, rows=block_rows)
-                    rate = _driver_at(spec, terms[:, k], t, np.exp(x), v, y)
+                    s = np.exp(x, out=x)
+                    _driver_at(spec, terms[:, k], t, s, v, y, out=rate, work=scratch)
                     if k == m_start:
                         rate *= 0.5
                     integral += rate
@@ -191,7 +194,8 @@ def _sweep_slices(
         np.add(starts_x, d, out=x)
         est = terminal(x, v)
         if u_prev is not None:
-            rate = _driver_at(spec, terms[:, m_end], nodes[m_end], np.exp(x), v, est)
+            s = np.exp(x, out=x)
+            _driver_at(spec, terms[:, m_end], nodes[m_end], s, v, est, out=rate, work=scratch)
             rate *= 0.5
             integral += rate
             integral *= dt
@@ -222,7 +226,7 @@ def _sweep_slices(
                 np.random.SeedSequence([mc.master_seed, seed_salt, c_idx])
             )
             z = rng.standard_normal((m_end, n_c, 2)) * sq_dt
-            rows = np.empty((2, hi - lo, nv, n_c))
+            rows = np.empty((4, hi - lo, nv, n_c))
             planes = np.empty((2 + WORK_PLANES, nv, n_c))
             for col, i in enumerate(swept):
                 total, squares, out = run_slice(starts[i], z, lo, hi, rows, planes)

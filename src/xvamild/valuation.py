@@ -43,18 +43,18 @@ def capped_call(strike: float, cap: float) -> Callable:
 
 
 def zero_dividend(t, s, v):
-    return np.zeros_like(np.asarray(s, dtype=float))
+    return 0.0
 
 
 def constant_dividend(value: float) -> Callable:
     def pi(t, s, v):
-        return np.full_like(np.asarray(s, dtype=float), value)
+        return value
 
     return pi
 
 
 def zero_hedge(t, s, v, y):
-    return np.zeros_like(np.asarray(y, dtype=float))
+    return 0.0
 
 
 def proportional_hedge(delta: float) -> Callable:
@@ -82,6 +82,9 @@ class MarketSpec:
     accumulate from it.  payoff(s, v), dividend(t, s, v) and
     hedge(t, s, v, y) get a v that broadcasts against s, not one of s's
     shape (the sweep steps v once per v node); results broadcast to s's.
+    A dividend or hedge that ignores the state may return a scalar, and
+    the built-in ones do, so the driver spends no pass over the state on
+    them.
     """
 
     rate: object = 0.0
@@ -226,22 +229,28 @@ def _driver_slopes(spec: MarketSpec, terms) -> tuple:
     return m_pos, k_neg - g_i * (1.0 - b + lgd_i * (b - a)) - g_c * (1.0 - b)
 
 
-def _driver_at(spec: MarketSpec, terms, t: float, s, v, y):
-    """The driver formula at time t, given ``_driver_rates`` at t, in two work buffers."""
+def _driver_at(spec: MarketSpec, terms, t: float, s, v, y, out=None, work=None):
+    """The driver formula at time t, given ``_driver_rates`` at t.
+
+    The dividend and hedge terms keep their own shape (a scalar for the
+    built-in dividends and the zero hedge); the result has the shape of s,
+    y and the terms broadcast together.  ``out`` and ``work``, both of that
+    shape, are optional buffers; the result is written into ``out``.
+    """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0) or not np.all(np.isfinite(s_arr)):
+    if s_arr.size and not (s_arr.min() > 0.0 and s_arr.max() < math.inf):  # NaN fails too
         raise DomainError("price s must be positive and finite")
     y_arr = np.asarray(y, dtype=float)
     m_pos, m_neg = _driver_slopes(spec, terms)
     hedge = np.asarray(spec.hedge(t, s_arr, v, y_arr), dtype=float)
     dividend = np.asarray(spec.dividend(t, s_arr, v), dtype=float)
-    shape = np.broadcast_shapes(dividend.shape, y_arr.shape, hedge.shape, *map(np.shape, terms))
-    out, work = np.empty(shape), np.empty(shape)
-    # y- = -min(y, 0) and h- = -min(h, 0), so the minimum terms take negated factors
-    np.add(dividend, np.multiply(np.maximum(y_arr, 0.0, out=work), m_pos, out=work), out=out)
+    # h- = -min(h, 0) and y- = -min(y, 0), so the minimum terms take negated factors
+    base = dividend - np.maximum(hedge, 0.0) * terms[4] - np.minimum(hedge, 0.0) * terms[5]
+    shape = np.broadcast_shapes(s_arr.shape, y_arr.shape, np.shape(base), *map(np.shape, terms))
+    out = np.empty(shape) if out is None else out
+    work = np.empty(shape) if work is None else work
+    np.add(base, np.multiply(np.maximum(y_arr, 0.0, out=work), m_pos, out=work), out=out)
     out += np.multiply(np.minimum(y_arr, 0.0, out=work), -m_neg, out=work)
-    out -= np.multiply(np.maximum(hedge, 0.0, out=work), terms[4], out=work)  # r - h+
-    out -= np.multiply(np.minimum(hedge, 0.0, out=work), terms[5], out=work)  # r - h-
     return out if out.shape else float(out)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from xvamild.config import build_run, normalise_config
+from xvamild.config import _DIVIDENDS, _HEDGES, build_run, normalise_config
 from xvamild.defaultclock import DefaultSpec, PartyDefault, survival_curve
 from xvamild.gridfn import CoverageError, GridFunction
 from xvamild.mildsolver import McConfig, apply_mild_map
@@ -73,7 +73,7 @@ def ledger_rate(spec, t, s, v, y, g_i, g_c):
     f = rate_for(fund, "funding_rate_pos", "funding_rate_neg")
     h = rate_for(hedge, "hedge_rate_pos", "hedge_rate_neg")
 
-    pi = float(np.asarray(spec.dividend(t, np.array([s]), np.array([v])))[0])
+    pi = float(np.broadcast_to(spec.dividend(t, np.array([s]), np.array([v])), (1,))[0])
     b_free = pi - (c - r) * coll - (f - r) * fund - (r - h) * hedge
 
     own = 1.0 if spec.own_default_funding else 0.0
@@ -654,6 +654,75 @@ def test_driver_matches_collected_formula_within_bound(name):
             got = driver(spec, t, 90.0, 0.04, yi)
             want = collected_driver(spec, terms, t, 90.0, 0.04, yi)
             assert type(got) is float and abs(got - want) <= DRIVER_BOUND
+
+
+@pytest.mark.parametrize("name", ["xva_fixture", "hedged", "no_own_funding", "dividend"])
+def test_driver_into_buffers_is_bit_equal_to_the_allocating_call(name):
+    spec = driver_spec(name)
+    rng = np.random.default_rng(6)
+    s = np.exp(rng.normal(4.6, 0.3, (5, 1, 64)))
+    v = rng.uniform(-0.01, 0.3, (3, 64))
+    y = rng.normal(0.0, 5.0, (5, 3, 64))
+    y[0, 0, :4] = [0.0, -0.0, 1.0, -1.0]
+    terms = _driver_rates(spec, 0.3)
+    for args in ((s, v, y), (s, v, 2.5)):
+        want = _driver_at(spec, terms, 0.3, *args)
+        out, work = np.full(want.shape, np.nan), np.full(want.shape, np.nan)
+        got = _driver_at(spec, terms, 0.3, *args, out=out, work=work)
+        assert got is out and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def state_shaped(spec):
+    """The spec with its dividend and hedge returning full arrays of the state's shape."""
+    dividend, hedge = spec.dividend, spec.hedge
+    return dataclasses.replace(
+        spec,
+        dividend=lambda t, s, v: np.full_like(np.asarray(s, dtype=float), dividend(t, s, v)),
+        hedge=lambda t, s, v, y: np.full_like(np.asarray(y, dtype=float), hedge(t, s, v, y)),
+    )
+
+
+DIVIDEND_CFGS = {
+    "zero": {"kind": "zero"},
+    "constant": {"kind": "constant", "value": -0.25},
+    "piecewise_constant": {"kind": "piecewise_constant", "times": [0.25], "values": [0.0, 0.01]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DIVIDEND_CFGS))
+def test_builtin_dividends_and_zero_hedge_are_scalars_the_driver_reads_bit_for_bit(kind):
+    dividend = _DIVIDENDS[kind].build(DIVIDEND_CFGS[kind])
+    hedge, _ = _HEDGES["zero"].build({"kind": "zero"})
+    spec = dataclasses.replace(time_table_spec("xva_fixture"), dividend=dividend, hedge=hedge)
+    full = state_shaped(spec)
+    rng = np.random.default_rng(7)
+    s = np.exp(rng.normal(4.6, 0.3, (6, 64)))
+    v = rng.uniform(-0.01, 0.3, (1, 64))
+    y = rng.normal(0.0, 5.0, (6, 64))
+    y[0, :4] = [0.0, -0.0, 1.0, -1.0]
+    for t in (0.0, 0.1, 0.25, 0.4):
+        assert np.ndim(dividend(t, s, v)) == 0 and np.ndim(hedge(t, s, v, y)) == 0
+        terms = _driver_rates(spec, t)
+        # the result takes its shape from s and y, not from the scalar terms
+        for args in ((s, v, y), (s, v, 1.5), (s[:, :1], v, y[0]), (90.0, 0.04, -2.5)):
+            got = _driver_at(spec, terms, t, *args)
+            want = _driver_at(full, terms, t, *args)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_driver_rejects_each_bad_price_in_scalars_and_arrays(bad):
+    spec = driver_spec("hedged")
+    terms = _driver_rates(spec, 0.1)
+    grid = np.full((2, 3), 100.0)
+    grid[1, 2] = bad
+    for s in (bad, np.array(bad), np.array([90.0, bad, 110.0]), grid):
+        with pytest.raises(DomainError) as err:
+            _driver_at(spec, terms, 0.1, s, 0.04, np.ones((2, 3)))
+        assert str(err.value) == "price s must be positive and finite"
+        with pytest.raises(DomainError, match="price s must be positive and finite"):
+            driver(spec, 0.1, s, 0.04, 1.0)
 
 
 def test_fixture_driver_slopes_on_the_master_nodes():
