@@ -3,10 +3,13 @@
 Paths are driven by two independent Brownian increments per step; the
 noise of path i is derived from (master_seed, i) alone, so results are
 reproducible path-by-path regardless of chunking or thread count, and a
-run with fewer paths is a prefix of a longer one.  Coefficients are
-evaluated through the model's own full-line extension, so no state
-truncation happens here: a variance excursion below zero is handled by
-the coefficients, not the stepper.
+run with fewer paths is a prefix of a longer one.  Path i's normals are
+exactly numpy's ``default_rng(SeedSequence([master_seed, i]))`` stream;
+each chunk of paths produces them with one vectorised seed hash and one
+PCG64 that it reseeds per path, not with a generator per path.
+Coefficients are evaluated through the model's own full-line extension,
+so no state truncation happens here: a variance excursion below zero is
+handled by the coefficients, not the stepper.
 """
 
 from __future__ import annotations
@@ -22,6 +25,16 @@ from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
 _CHUNK = 4096  # paths per work unit here; the cap on paths per noise stream in the mild-map sweep
 _INVALID_BUDGET = 1e-3
+
+# numpy's SeedSequence hash and PCG64 seeding constants, which numpy keeps
+# stream-compatible across releases (see _seed_words and _fill_noise).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
 
 
 class InvalidPathBudgetError(RuntimeError):
@@ -83,33 +96,100 @@ class PathSet:
         return int(self.invalid.sum())
 
     def valid_x(self) -> np.ndarray:
-        return self.x[~self.invalid]
+        """The rows of x that stayed finite.  With no invalid row this is x
+        itself, not a copy, so the result must not be written."""
+        return self.x[~self.invalid] if self.invalid.any() else self.x
 
     def valid_v(self) -> np.ndarray:
-        return self.v[~self.invalid]
+        """The rows of v that stayed finite; read-only, as for ``valid_x``."""
+        return self.v[~self.invalid] if self.invalid.any() else self.v
 
 
 def path_increments(grid: TimeGrid, master_seed: int, path_id: int):
-    """Re-derive the (dW, dW~) increments the engine used for one path."""
+    """Re-derive the (dW, dW~) increments the engine used for one path.
+
+    This stays numpy-native, a generator seeded from [master_seed, path_id],
+    so it is the reference the engine's own seed hash is checked against.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, path_id]))
     z = rng.standard_normal((grid.n_steps, 2))
     scale = math.sqrt(grid.dt)
     return z[:, 0] * scale, z[:, 1] * scale
 
 
-def _fill_noise(out: np.ndarray, master_seed: int, lo: int) -> None:
-    """Row j gets path lo + j's normals, seeded as ``path_increments`` seeds
-    them.  SeedSequence turns the list [master_seed, path_id] into the
-    32-bit words of each entry, least significant first, and concatenates
-    them; handing it those words as one uint32 array is the same entropy
-    without the per-path list conversion."""
+class _Hash:
+    """One of SeedSequence's running hashes, applied to uint32 arrays: each
+    call xors the value with the hash constant, steps the constant, then
+    multiplies by it and folds the high half down."""
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ self.const
+        self.const = self.const * self.mult & _MASK32
+        value *= self.const
+        value ^= value >> 16
+        return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L
+    r -= y * _MIX_MULT_R
+    r ^= r >> 16
+    return r
+
+
+def _seed_words(master_seed: int, lo: int, n: int) -> list:
+    """The four uint64 words of ``SeedSequence([master_seed, i])
+    .generate_state(4, np.uint64)`` for each path id i in [lo, lo + n), as
+    four lists.
+
+    This is numpy's SeedSequence with its default 4-word pool, run on
+    uint32 arrays with one entry per path, so the whole chunk is hashed in
+    one pass.  The entropy is the 32-bit words of master_seed, least
+    significant first, then the path id, which fits one word.
+    """
     seed = int(master_seed)
-    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.array(words + [0], dtype=np.uint32)
-    for j in range(out.shape[0]):
-        entropy[-1] = lo + j
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        out[j] = rng.standard_normal(out.shape[1:])
+    entropy = [np.full(n, seed >> s & _MASK32, dtype=np.uint32)
+               for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(lo, lo + n, dtype=np.uint32))
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:  # entropy past the pool mixes into every pool word
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out_hash = _Hash(_INIT_B, _MULT_B)
+    state = [out_hash(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return [(state[2 * k] | state[2 * k + 1] << 32).tolist() for k in range(4)]
+
+
+def _fill_noise(out: np.ndarray, master_seed: int, lo: int) -> None:
+    """Row j gets path lo + j's normals: exactly the stream of
+    ``np.random.default_rng(np.random.SeedSequence([master_seed, lo + j]))``,
+    as ``path_increments`` draws it.
+
+    The chunk hashes all its seeds in one vectorised pass (``_seed_words``)
+    and owns one PCG64 and one Generator.  Each row sets the PCG64 state its
+    seed leads to, as PCG64's seeding computes it: the seed words are
+    (initstate high, low, initseq high, low), inc = 2 * initseq + 1, and
+    the state is (inc + initstate) * multiplier + inc mod 2**128.
+    """
+    bit_gen = np.random.PCG64(0)  # its state is set per row below
+    gen = np.random.Generator(bit_gen)
+    row_state = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": row_state, "has_uint32": 0, "uinteger": 0}
+    for j, (s_hi, s_lo, q_hi, q_lo) in enumerate(zip(*_seed_words(master_seed, lo, out.shape[0]))):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        row_state["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        row_state["inc"] = inc
+        bit_gen.state = full_state
+        gen.standard_normal(out=out[j])
 
 
 def _map_chunks(fn, tasks, threads: int) -> list:

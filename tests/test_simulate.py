@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,29 +109,65 @@ def test_path_increments_reproduce_the_engine():
         assert v == pytest.approx(ps.v[i, -1], rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", [0, 77, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("seed", [0, 77, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
 def test_engine_streams_match_list_seeding_bit_for_bit(monkeypatch, seed):
-    # the engine seeds from uint32 words; path_increments from [seed, path_id]
+    # The engine hashes a chunk's seeds itself; numpy seeds path i from the
+    # list [seed, i].  2**100 + 7 has four words, so with the path id the
+    # entropy runs past SeedSequence's 4-word pool.  A uint32 overflow in a
+    # scalar, not an array, would warn, and the warning fails the test.
     grid = TimeGrid(0.0, 0.5, 3)
     filled = {}
     real_fill = simulate._fill_noise
 
     def keep(out, master_seed, lo):
         real_fill(out, master_seed, lo)
-        filled[lo] = out  # run_chunk scales it in place into the increments
+        filled[lo] = out.copy()  # run_chunk scales out in place into the increments
+
+    def numpy_rows(ids):
+        return [np.random.default_rng(np.random.SeedSequence([seed, i]))
+                .standard_normal((grid.n_steps, 2)) for i in ids]
 
     monkeypatch.setattr(simulate, "_fill_noise", keep)
-    simulate_paths(bs_model(), (X0, 0.04), grid, _CHUNK + 2, master_seed=seed, threads=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        simulate_paths(bs_model(), (X0, 0.04), grid, _CHUNK + 2, master_seed=seed, threads=2)
+        top = np.empty((3, grid.n_steps, 2))
+        real_fill(top, seed, 2**32 - 3)  # the largest path ids one uint32 word holds
     assert sorted(filled) == [0, _CHUNK]
-    for path_id in (0, 1, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1):
-        z = filled[path_id // _CHUNK * _CHUNK][path_id % _CHUNK]
-        dw, dwt = path_increments(grid, seed, path_id)
-        assert np.array_equal(z[:, 0], dw) and np.array_equal(z[:, 1], dwt)
-    top = np.empty((3, grid.n_steps, 2))
-    real_fill(top, seed, 2**32 - 3)  # the largest path ids one uint32 word holds
-    for j in range(3):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 2**32 - 3 + j]))
-        assert np.array_equal(top[j], rng.standard_normal((grid.n_steps, 2)))
+    edges = (0, 1, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 1)
+    for path_id, row in zip(edges, numpy_rows(edges)):
+        assert np.array_equal(filled[path_id // _CHUNK * _CHUNK][path_id % _CHUNK], row)
+    for j, row in enumerate(numpy_rows(range(2**32 - 3, 2**32))):
+        assert np.array_equal(top[j], row)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_no_generator_per_path(monkeypatch, threads):
+    calls = []
+    for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
+        real = getattr(np.random, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counted)
+    simulate_paths(bs_model(), (X0, 0.04), TimeGrid(0.0, 0.5, 4), 5000, 3, threads=threads)
+    n_chunks = 2
+    for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
+        assert calls.count(name) <= n_chunks, name
+
+
+def test_valid_rows_are_the_arrays_themselves_unless_a_row_is_invalid():
+    grid = TimeGrid(0.0, 1.0, 2)
+    x = np.arange(12.0).reshape(4, 3)
+    v = -x
+    clean = PathSet(grid, x, v, 0, invalid=np.zeros(4, dtype=bool))
+    assert clean.valid_x() is x and clean.valid_v() is v
+    masked = PathSet(grid, x, v, 0, invalid=np.array([False, True, False, False]))
+    assert np.array_equal(masked.valid_x(), x[[0, 2, 3]])
+    assert np.array_equal(masked.valid_v(), v[[0, 2, 3]])
+    assert not np.shares_memory(masked.valid_x(), x)
 
 
 def test_exact_price_matches_exp_x():
