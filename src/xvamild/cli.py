@@ -129,7 +129,7 @@ def cmd_simulate(args, setup, threads, out) -> int:
     grid = TimeGrid(setup.t0, setup.t_end, setup.n_steps)
     paths = simulate_paths(
         setup.model_p, (math.log(setup.s0), setup.v0), grid,
-        setup.n_paths, setup.master_seed, threads=threads,
+        setup.n_paths, setup.master_seed,
     )
 
     out.write_with("terminal.csv", lambda fh: write_table(

@@ -24,9 +24,10 @@ X from 0: a sweep steps one log-price shift per v node and path, every x
 row reads its start node plus that shift, and when the rows are nodes of
 the iterate the gather finds the shift's cells once for all of them.
 Every sweep cuts the x rows into blocks, one per thread
-(one per row when rows are fewer, one block at one thread), and hands
-one task per block to the package's one executor,
-``simulate._map_chunks``.  A task draws each chunk's normals itself and
+(one per row when rows are fewer, one block at one thread), and
+``_run_blocks`` runs block 0 on the calling thread and every other block
+on a thread of its own; the sweep is the only code in the package that
+starts threads.  A block draws each chunk's normals itself and
 walks the chunks in order.  Each node's sums reduce along its own paths
 and are added, chunk after chunk, into that node's place in one array,
 so neither the blocks nor the thread count change a bit.
@@ -38,6 +39,7 @@ next one's first plane as its terminal condition.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -45,7 +47,7 @@ import numpy as np
 
 from .defaultclock import _trapezoid_cumsum
 from .gridfn import CoverageError, GridFunction, _check_uniform, sup_diff
-from .simulate import _CHUNK, TimeGrid, _euler_step, _map_chunks, _step_table, simulate_paths
+from .simulate import _CHUNK, TimeGrid, _euler_step, _step_table, simulate_paths
 from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lipschitz
 from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
@@ -102,6 +104,19 @@ def _node_blocks(n_rows: int, threads: int) -> list:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _run_blocks(fn, blocks) -> list:
+    """fn over blocks, results in block order.  Block 0 runs on the calling
+    thread, which works rather than waits, so its malloc arena, already
+    grown, holds block 0's working set instead of a fresh worker arena;
+    every other block runs on a pool worker of its own."""
+    if len(blocks) == 1:
+        return [fn(blocks[0])]
+    with ThreadPoolExecutor(max_workers=len(blocks) - 1) as pool:
+        rest = [pool.submit(fn, block) for block in blocks[1:]]
+        first = fn(blocks[0])
+    return [first] + [future.result() for future in rest]
+
+
 def _sweep_slices(
     spec: MarketSpec,
     model: VolModel,
@@ -130,8 +145,8 @@ def _sweep_slices(
     so step k consumes the same numbers no matter where the slice begins.
 
     ``_node_blocks`` cuts the x rows into one block per thread, one per
-    row when rows are fewer, and one ``simulate._map_chunks`` call runs
-    one task per block.  A task walks the chunks in order; for each it
+    row when rows are fewer, and ``_run_blocks`` runs each block on its
+    own thread.  A block walks the chunks in order; for each it
     draws the chunk's normals itself and sweeps every slice with m_start
     < m_end in order through one set of arrays.  The Euler step moves v,
     its work planes and the log-price shift d, all (nv, paths), so V and
@@ -235,7 +250,7 @@ def _sweep_slices(
         return outside
 
     blocks = _node_blocks(x_nodes.size, mc.threads)
-    n_out = sum(_map_chunks(run_block, blocks, mc.threads)) if swept else 0
+    n_out = sum(_run_blocks(run_block, blocks)) if swept else 0
     mean[swept] = sums[0] / n
     var = np.maximum(sums[1] - n * mean[swept] * mean[swept], 0.0) / (n - 1.0)
     stderr[swept] = np.sqrt(var / n)
@@ -281,10 +296,17 @@ def apply_mild_map(
 # -- contraction budget and slab partition -------------------------------------
 
 
-def lipschitz_budget(spec: MarketSpec, t_lo: float, t_hi: float, n: int = 129) -> float:
+def lipschitz_budget(spec: MarketSpec, t_lo: float, t_hi: float) -> float:
     """Integral of the driver's value-Lipschitz bound over [t_lo, t_hi]."""
-    ts = np.linspace(t_lo, t_hi, n)
+    ts = np.linspace(t_lo, t_hi, 129)
     return float(np.trapezoid(driver_lipschitz(spec, ts), ts))
+
+
+def _interval_budgets(spec: MarketSpec, t_nodes: np.ndarray) -> list:
+    """Each interval's Lipschitz budget, by trapezoid on 33 points; the grid
+    is made contiguous so that each row sums as a 1-D trapezoid would."""
+    ts = np.ascontiguousarray(np.linspace(t_nodes[:-1], t_nodes[1:], 33, axis=-1))
+    return np.trapezoid(driver_lipschitz(spec, ts), ts, axis=-1).tolist()
 
 
 def _slab_partition(spec: MarketSpec, t_nodes: np.ndarray) -> list:
@@ -293,7 +315,7 @@ def _slab_partition(spec: MarketSpec, t_nodes: np.ndarray) -> list:
     Returns indices into t_nodes marking slab boundaries, first to last.
     """
     m = len(t_nodes)
-    budgets = [lipschitz_budget(spec, t_nodes[j], t_nodes[j + 1], 33) for j in range(m - 1)]
+    budgets = _interval_budgets(spec, t_nodes)
     for j, b in enumerate(budgets):
         if b > _BUDGET_CAP:
             raise InvariantError(

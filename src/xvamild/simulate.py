@@ -2,11 +2,13 @@
 
 Paths are driven by two independent Brownian increments per step; the
 noise of path i is derived from (master_seed, i) alone, so results are
-reproducible path-by-path regardless of chunking or thread count, and a
-run with fewer paths is a prefix of a longer one.  Path i's normals are
-exactly numpy's ``default_rng(SeedSequence([master_seed, i]))`` stream;
-each chunk of paths produces them with one vectorised seed hash and one
-PCG64 that it reseeds per path, not with a generator per path.
+reproducible path-by-path regardless of chunking, and a run with fewer
+paths is a prefix of a longer one.  Path i's normals are exactly numpy's
+``default_rng(SeedSequence([master_seed, i]))`` stream; each chunk of
+paths produces them with one vectorised seed hash and one PCG64 that it
+reseeds per path, not with a generator per path.  The chunks run one
+after another on the calling thread: that per-path reseeding holds the
+interpreter lock, so worker threads would buy almost nothing.
 Coefficients are evaluated through the model's own full-line extension,
 so no state truncation happens here: a variance excursion below zero is
 handled by the coefficients, not the stepper.
@@ -15,15 +17,13 @@ handled by the coefficients, not the stepper.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
-_CHUNK = 4096  # paths per work unit here; the cap on paths per noise stream in the mild-map sweep
+_CHUNK = 4096  # paths per chunk here; the cap on paths per noise stream in the mild-map sweep
 _INVALID_BUDGET = 1e-3
 
 # numpy's SeedSequence hash and PCG64 seeding constants, which numpy keeps
@@ -192,37 +192,6 @@ def _fill_noise(out: np.ndarray, master_seed: int, lo: int) -> None:
         gen.standard_normal(out=out[j])
 
 
-def _map_chunks(fn, tasks, threads: int) -> list:
-    """fn over tasks, results in task order.
-
-    With threads > 1 and tasks to share, the caller and up to threads - 1
-    pool workers take tasks in order from one queue.  The caller works
-    rather than waits, so its malloc arena, already grown, holds its share
-    of the working set instead of one more worker's fresh arena.
-    """
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    queue = iter(enumerate(tasks))
-    lock = threading.Lock()
-    results = [None] * len(tasks)
-
-    def work():
-        while True:
-            with lock:
-                i, task = next(queue, (None, None))
-            if i is None:
-                return
-            results[i] = fn(task)
-
-    n_helpers = min(threads, len(tasks)) - 1
-    with ThreadPoolExecutor(max_workers=n_helpers) as pool:
-        helpers = [pool.submit(work) for _ in range(n_helpers)]
-        work()
-    for helper in helpers:
-        helper.result()
-    return results
-
-
 def _step_table(model: VolModel, times):
     """(b, rho, sqrt(1 - rho^2)) at the step start times; rejects |rho| >= 1."""
     rhos = on_times(model.correlation, times)
@@ -261,13 +230,12 @@ def simulate_paths(
     grid: TimeGrid,
     n_paths: int,
     master_seed: int,
-    threads: int = 1,
 ) -> PathSet:
     """Euler-step n_paths trajectories of (X, V) from start = (x0, v0).
 
     Raises InvalidPathBudgetError when more than 0.1% of paths go
-    non-finite.  Identical inputs reproduce the PathSet bitwise for any
-    thread count.
+    non-finite.  Identical inputs reproduce the PathSet bitwise, and the
+    first n rows do not depend on n_paths.
     """
     x0, v0 = float(start[0]), float(start[1])
     if not (math.isfinite(x0) and math.isfinite(v0)):
@@ -285,7 +253,8 @@ def simulate_paths(
 
     table = _step_table(model, nodes[:-1])
 
-    def run_chunk(lo: int, hi: int) -> None:
+    for lo in range(0, n_paths, _CHUNK):
+        hi = min(lo + _CHUNK, n_paths)
         z = np.empty((hi - lo, grid.n_steps, 2))
         _fill_noise(z, master_seed, lo)
         z *= math.sqrt(dt)
@@ -299,9 +268,6 @@ def simulate_paths(
                 _euler_step(model, table, k, nodes[k], x, v, dt, z[:, k, 0], z[:, k, 1], work)
                 xs[lo:hi, k + 1] = x
                 vs[lo:hi, k + 1] = v
-
-    bounds = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    _map_chunks(lambda b: run_chunk(*b), bounds, threads)
 
     invalid = ~(np.isfinite(xs).all(axis=1) & np.isfinite(vs).all(axis=1))
     paths = PathSet(grid=grid, x=xs, v=vs, master_seed=master_seed, invalid=invalid)

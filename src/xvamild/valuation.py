@@ -146,13 +146,14 @@ class MarketSpec:
             return (np.zeros(times.shape), np.zeros(times.shape)) if times.shape else (0.0, 0.0)
         flat = times.ravel()
         live = flat > self.t0
-        ends = np.linspace(self.t0, flat[live], 513, axis=-1)
+        # linspace(axis=-1) lays the rows out transposed; made contiguous,
+        # each row sums in the order of a 1-D trapezoid over its own time
+        ends = np.ascontiguousarray(np.linspace(self.t0, flat[live], 513, axis=-1))
         out = []
         for name in ("investor", "counterparty"):
             party = self.defaults.party(name)
-            # one trapezoid per time: a single 2-D call sums in another order
             cum = np.zeros(flat.shape)
-            cum[live] = [np.trapezoid(f, ts) for f, ts in zip(on_times(party.intensity, ends), ends)]
+            cum[live] = np.trapezoid(on_times(party.intensity, ends), ends, axis=-1)
             slope = -on_times(party.intensity, flat) * gamma_hazard_factor(party.threshold, cum)
             out.append(slope.reshape(times.shape) if times.shape else float(slope[0]))
         return out[0], out[1]
@@ -330,7 +331,6 @@ def martingale_residual(
     n_paths: int,
     seed: int,
     grid: TimeGrid,
-    threads: int = 1,
 ) -> list:
     """Check that discounted-value-plus-accumulated-drift has flat means.
 
@@ -338,8 +338,9 @@ def martingale_residual(
     M_t = D_t u(t, X, V) G_t + int_0^t D dA along them for each field u
     in ``fields``, and tests the mean increment between consecutive
     checkpoints against zero at three standard errors.  Returns one
-    MartingaleReport per field, in order.  Raises CoverageError when more
-    than 1% of the states visited by a field fall outside its hull.
+    MartingaleReport per field, in order.  The checkpoints must be distinct
+    grid nodes.  Raises CoverageError when more than 1% of the states
+    visited by a field fall outside its hull.
     """
     checkpoints = np.asarray(sorted(float(c) for c in checkpoints))
     nodes = grid.nodes
@@ -348,11 +349,13 @@ def martingale_residual(
         k = int(np.argmin(np.abs(nodes - c)))
         if abs(nodes[k] - c) > 1e-9:
             raise InvariantError(f"checkpoint {c} is not a grid node")
+        if idx and k == idx[-1]:
+            raise InvariantError(f"checkpoint {c} repeats grid node {nodes[k]}")
         idx.append(k)
     if len(idx) < 2:
         raise InvariantError("need at least two checkpoints")
 
-    paths = simulate_paths(model, start, grid, n_paths, seed, threads=threads)
+    paths = simulate_paths(model, start, grid, n_paths, seed)
     x = paths.valid_x()
     v = paths.valid_v()
     n = x.shape[0]

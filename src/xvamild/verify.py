@@ -230,7 +230,7 @@ def check_martingale(setup: RunSetup, threads: int):
         )
         mart, control = martingale_residual(
             setup.spec, setup.model_q, (rep.u, const), start, checkpoints,
-            n_paths=8000, seed=setup.master_seed + 7919, grid=fresh, threads=threads,
+            n_paths=8000, seed=setup.master_seed + 7919, grid=fresh,
         )
         ok = mart.ok and not control.ok
         return ok, (

@@ -345,7 +345,7 @@ def test_compensated_value_is_flat_on_fresh_paths(xva_solution):
     )
     mart, control = martingale_residual(
         spec, model, (rep.u, flat), (X0, 0.04), checkpoints,
-        n_paths=20000, seed=777, grid=fresh, threads=2,
+        n_paths=20000, seed=777, grid=fresh,
     )
     assert mart.max_abs_z <= 3.0
     assert mart.ok

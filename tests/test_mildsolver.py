@@ -2,6 +2,7 @@ import io
 import json
 import math
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -646,9 +647,9 @@ def test_each_chunk_is_drawn_once_per_sweep(monkeypatch, threads):
     spec, model, u = multi_chunk_problem()
     sweeps = []  # per _sweep_slices call: the chunks each block drew, in order
     local = threading.local()
-    real_map, real_seed = mildsolver._map_chunks, np.random.SeedSequence
+    real_run, real_seed = mildsolver._run_blocks, np.random.SeedSequence
 
-    def mapped(fn, blocks, n_threads):
+    def run_blocks(fn, blocks):
         drawn = {block: [] for block in blocks}
         sweeps.append(drawn)
 
@@ -656,13 +657,13 @@ def test_each_chunk_is_drawn_once_per_sweep(monkeypatch, threads):
             local.drawn = drawn[block]
             return fn(block)
 
-        return real_map(run, blocks, n_threads)
+        return real_run(run, blocks)
 
     def seeded(entropy):
         local.drawn.append(entropy[2])
         return real_seed(entropy)
 
-    monkeypatch.setattr(mildsolver, "_map_chunks", mapped)
+    monkeypatch.setattr(mildsolver, "_run_blocks", run_blocks)
     monkeypatch.setattr(np.random, "SeedSequence", seeded)
     mc = McConfig(n_paths=9600, n_steps=6, master_seed=4, threads=threads)
     n_nodes = len(u.x_nodes) * len(u.v_nodes)
@@ -675,6 +676,36 @@ def test_each_chunk_is_drawn_once_per_sweep(monkeypatch, threads):
         {(0, 1): list(range(math.ceil(8500 / _CHUNK)))},
     ]
     assert len(sweeps[0]) == threads
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 5])
+def test_run_blocks_gives_each_block_its_own_thread_and_keeps_block_order(n_blocks):
+    blocks = [(i, i + 1) for i in range(n_blocks)]
+    # every block waits for all the others: two blocks sharing a thread would
+    # break the barrier at its timeout instead of passing it
+    barrier = threading.Barrier(n_blocks, timeout=30)
+    ran_on = {}
+
+    def fn(block):
+        ran_on[block] = threading.get_ident()
+        barrier.wait()
+        time.sleep(0.01 * (n_blocks - block[0]))  # later blocks finish first
+        return block[0] * 10
+
+    assert mildsolver._run_blocks(fn, blocks) == [10 * i for i in range(n_blocks)]
+    assert ran_on[blocks[0]] == threading.get_ident()
+    assert len(set(ran_on.values())) == n_blocks
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_run_blocks_raises_an_exception_from_any_block(failing):
+    def fn(block):
+        if block[0] == failing:
+            raise ValueError(f"block {block[0]}")
+        return block[0]
+
+    with pytest.raises(ValueError, match=f"block {failing}"):
+        mildsolver._run_blocks(fn, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_single_chunk_sweeps_are_bit_identical_across_thread_counts():

@@ -78,8 +78,6 @@ def test_zero_noise_is_the_ode():
 def test_bitwise_determinism_across_threads_and_prefix():
     grid = TimeGrid(0.0, 1.0, 30)
     a = simulate_paths(heston_model(), (X0, 0.04), grid, 9000, master_seed=5)
-    b = simulate_paths(heston_model(), (X0, 0.04), grid, 9000, master_seed=5, threads=4)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.v, b.v)
     c = simulate_paths(heston_model(), (X0, 0.04), grid, 123, master_seed=5)
     assert np.array_equal(a.x[:123], c.x)
     d = simulate_paths(heston_model(), (X0, 0.04), grid, 9000, master_seed=6)
@@ -121,7 +119,7 @@ def test_engine_streams_match_list_seeding_bit_for_bit(monkeypatch, seed):
 
     def keep(out, master_seed, lo):
         real_fill(out, master_seed, lo)
-        filled[lo] = out.copy()  # run_chunk scales out in place into the increments
+        filled[lo] = out.copy()  # the engine scales out in place into the increments
 
     def numpy_rows(ids):
         return [np.random.default_rng(np.random.SeedSequence([seed, i]))
@@ -130,7 +128,7 @@ def test_engine_streams_match_list_seeding_bit_for_bit(monkeypatch, seed):
     monkeypatch.setattr(simulate, "_fill_noise", keep)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        simulate_paths(bs_model(), (X0, 0.04), grid, _CHUNK + 2, master_seed=seed, threads=2)
+        simulate_paths(bs_model(), (X0, 0.04), grid, _CHUNK + 2, master_seed=seed)
         top = np.empty((3, grid.n_steps, 2))
         real_fill(top, seed, 2**32 - 3)  # the largest path ids one uint32 word holds
     assert sorted(filled) == [0, _CHUNK]
@@ -141,8 +139,8 @@ def test_engine_streams_match_list_seeding_bit_for_bit(monkeypatch, seed):
         assert np.array_equal(top[j], row)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_no_generator_per_path(monkeypatch, threads):
+@pytest.mark.parametrize("n_chunks", [1, 2])
+def test_no_generator_per_path(monkeypatch, n_chunks):
     calls = []
     for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
         real = getattr(np.random, name)
@@ -152,8 +150,8 @@ def test_no_generator_per_path(monkeypatch, threads):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, name, counted)
-    simulate_paths(bs_model(), (X0, 0.04), TimeGrid(0.0, 0.5, 4), 5000, 3, threads=threads)
-    n_chunks = 2
+    n_paths = (n_chunks - 1) * _CHUNK + 904
+    simulate_paths(bs_model(), (X0, 0.04), TimeGrid(0.0, 0.5, 4), n_paths, 3)
     for name in ("SeedSequence", "default_rng", "PCG64", "Generator"):
         assert calls.count(name) <= n_chunks, name
 

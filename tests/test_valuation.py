@@ -8,7 +8,7 @@ from scipy import integrate
 from xvamild.config import _DIVIDENDS, _HEDGES, build_run, normalise_config
 from xvamild.defaultclock import DefaultSpec, PartyDefault, survival_curve
 from xvamild.gridfn import CoverageError, GridFunction
-from xvamild.mildsolver import McConfig, apply_mild_map
+from xvamild.mildsolver import McConfig, _interval_budgets, apply_mild_map
 from xvamild import valuation
 from xvamild.simulate import TimeGrid
 from xvamild.special import (
@@ -42,6 +42,7 @@ from xvamild.volmodel import (
     black_scholes_params,
     build_power_model,
     measure_change,
+    on_times,
 )
 
 
@@ -462,6 +463,26 @@ def test_martingale_residual_checkpoint_must_hit_grid():
         )
 
 
+@pytest.mark.parametrize("repeat", [0.25, 0.25 + 1e-10])
+def test_martingale_residual_rejects_repeated_checkpoints(repeat):
+    # a repeated checkpoint would leave its row of the checkpoint table, and
+    # every row after it, unwritten
+    r = 0.0
+    model = measure_change(build_power_model(black_scholes_params()), r, 0.0)
+    u = stock_value_grid(math.log(100.0), 0.9, np.exp)
+    with pytest.raises(InvariantError, match=f"checkpoint {repeat} repeats grid node 0.25"):
+        martingale_residual(
+            riskfree_spec(r),
+            model,
+            [u],
+            (math.log(100.0), 0.04),
+            checkpoints=[0.125, 0.25, repeat, 0.5],
+            n_paths=10,
+            seed=1,
+            grid=TimeGrid(0.0, 0.5, 40),
+        )
+
+
 def test_log_survival_slopes_match_curve():
     spec = MarketSpec(
         defaults=DefaultSpec(
@@ -587,6 +608,24 @@ def test_time_terms_on_arrays_match_scalar_calls(name):
     assert type(driver_lipschitz(spec, 0.3)) is float
     assert all(type(g) is float for g in spec.log_survival_slopes(0.3))
     assert type(driver(spec, 0.3, 80.0, 0.1, 2.0)) is float
+    # against the 1-D trapezoids the array routes replace: one per time for
+    # the cumulative intensities, one per interval for the slab budgets
+    if spec.defaults is not None:
+        for party, got in zip((spec.defaults.investor, spec.defaults.counterparty),
+                              spec.log_survival_slopes(times)):
+            cum = np.zeros(times.shape)
+            for j, t in enumerate(times):
+                if t > spec.t0:
+                    ts = np.linspace(spec.t0, t, 513)
+                    cum[j] = np.trapezoid(on_times(party.intensity, ts), ts)
+            want = -on_times(party.intensity, times) * gamma_hazard_factor(party.threshold, cum)
+            assert got.tobytes() == want.tobytes()
+    for t_nodes in (np.linspace(0.0, 0.5, 33), np.array([0.0, 0.1, 0.25, 0.3, 0.5])):
+        budgets = []
+        for lo, hi in zip(t_nodes[:-1], t_nodes[1:]):
+            ts = np.linspace(lo, hi, 33)
+            budgets.append(float(np.trapezoid(driver_lipschitz(spec, ts), ts)))
+        assert _interval_budgets(spec, t_nodes) == budgets
 
 
 def collected_driver(spec, terms, t, s, v, y):
