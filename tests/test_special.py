@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from xvamild.special import (
     gamma_hazard_factor,
     gamma_survival,
 )
+from xvamild.verify import _quad_tail
 
 # Frozen quadrature values (scipy.integrate.quad on the defining integrals).
 UPPER_25_13 = 1.0121136007032032
@@ -89,6 +91,21 @@ def test_against_scipy_random_points():
         if ref == 0.0:
             continue
         assert ugamma(a, x) == pytest.approx(ref, rel=1e-11)
+
+
+# The verify check's own lattice, and a wider one around it.
+CHECK_LATTICE = ((0.5, 1.0, 1.7, 2.5, 6.0), (0.4, 2.0), (0.05, 0.5, 1.8, 7.0))
+WIDE_LATTICE = ((0.3, 0.5, 1.0, 1.7, 2.5, 6.0, 12.0), (0.1, 0.4, 2.0, 5.0),
+                (0.01, 0.05, 0.5, 1.8, 7.0, 20.0))
+
+
+@pytest.mark.parametrize("lattice, bound", [(CHECK_LATTICE, 1e-14), (WIDE_LATTICE, 1e-13)],
+                         ids=["check", "wide"])
+def test_verify_gauss_legendre_tail_matches_adaptive_quadrature(lattice, bound):
+    # verify's fixed rule stands in for quad at run time; quad stays the oracle here.
+    refs = {p: quad_survival(*p) for p in itertools.product(*lattice)}
+    worst = max(abs(_quad_tail(*p) - ref) / ref for p, ref in refs.items())
+    assert worst <= bound
 
 
 def test_completeness_upper_plus_lower():
