@@ -14,9 +14,15 @@ and the tail-decay factor
 
 which equals -d/dx log G(x).  The regularised tail Q comes from
 vectorised ``scipy.special.gammaincc``; the hazard factor is assembled in
-log space from log Q.  Where Q underflows (below 1e-300) a modified-Lentz
-continued fraction supplies log Q instead, so deep-tail hazards stay
-finite and tend to the rate.
+log space from log Q.  Where Q underflows (below 1e-300) the tail comes
+from Tricomi's confluent hypergeometric function instead,
+
+    ugamma(a, u) = exp(-u) * u**a * U(1, 1 + a, u)
+
+(DLMF 8.5.3, the second form by Kummer's transformation 13.2.40), with U
+the vectorised ``scipy.special.hyperu``: log Q is read from it, and the
+hazard factor there is rate / (u * U(1, 1 + shape, u)) with u = rate*x.  So
+deep-tail hazards stay finite and tend to the rate.
 """
 
 from __future__ import annotations
@@ -25,10 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, hyperu
 
-_MAX_ITER = 600
-_CONV_EPS = 1e-17
 _FPMIN = 1e-300
 
 
@@ -62,39 +66,22 @@ def _abscissae(x) -> np.ndarray:
     return xs
 
 
-def _upper_cf(a: float, x: np.ndarray) -> np.ndarray:
-    # Modified Lentz evaluation of the continued fraction C(a, x) with
-    # ugamma(a, x) = exp(-x + a*log(x)) * C(a, x), elementwise over x;
-    # only called where x is far beyond a, so it converges quickly.
-    b = x + 1.0 - a
-    c = np.full_like(x, 1.0 / _FPMIN)
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) < _CONV_EPS):
-            return h
-    raise ArithmeticError(f"continued fraction for shape={a} did not converge")
+def _log_q(shape: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log Q(shape, u) on an array u >= 0, finite even where Q underflows.
 
-
-def _log_q(shape: float, u: np.ndarray) -> np.ndarray:
-    """log Q(shape, u) on an array u >= 0, finite even where Q underflows."""
+    Also returns the mask of the entries where Q underflows (below 1e-300)
+    and U(1, 1 + shape, u) on them, from which log Q is taken there.
+    """
     q = gammaincc(shape, u)
     deep = q < _FPMIN
     with np.errstate(divide="ignore"):
         out = np.log(q)
+    tricomi = np.empty(0)
     if deep.any():
         ud = u[deep]
-        out[deep] = np.log(_upper_cf(shape, ud)) + shape * np.log(ud) - ud - math.lgamma(shape)
-    return out
+        tricomi = hyperu(1.0, 1.0 + shape, ud)
+        out[deep] = np.log(tricomi) + shape * np.log(ud) - ud - math.lgamma(shape)
+    return out, deep, tricomi
 
 
 def gamma_survival(params: GammaParams, x):
@@ -127,13 +114,21 @@ def gamma_hazard_factor(params: GammaParams, x):
             )
         x1 = np.atleast_1d(xs)
         u = rate * x1
+        log_q, deep, tricomi = _log_q(shape, u)
         # At x = 0 (shape > 1) the log(x) term is -inf and the factor is 0.
         with np.errstate(divide="ignore"):
             log_f = (
                 shape * math.log(rate)
                 + (shape - 1.0) * np.log(x1)
                 - u
-                - (math.lgamma(shape) + _log_q(shape, u))
+                - (math.lgamma(shape) + log_q)
             )
-        out = np.exp(log_f).reshape(xs.shape)
+        out = np.exp(log_f)
+        if tricomi.size:
+            # log_f cancels u against log Q and keeps an absolute error near
+            # u * 1e-16 (1e-8 relative at u = 1e8).  Where Q underflows,
+            # ugamma = exp(-u) u**shape U makes the factor rate / (u U),
+            # with nothing to cancel.
+            out[deep] = rate / (u[deep] * tricomi)
+        out = out.reshape(xs.shape)
     return float(out) if xs.ndim == 0 else out

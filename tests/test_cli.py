@@ -650,6 +650,21 @@ def test_cli_sub_unit_threshold_shape_exits_1(tmp_path, capsys, command):
     assert "run failed" in err and "shape=0.5" in err
 
 
+def test_cli_deep_gamma_tail_runs(tmp_path):
+    # Counterparty intensity 50 against a Gamma(6, 100) threshold: rate times
+    # the cumulative intensity passes 700 early in the book's half year, so
+    # most curve nodes sit where gammaincc underflows.
+    cfg = json.loads((REPO / "perfbench" / "book.json").read_text())
+    cfg["defaults"]["counterparty"]["intensity"] = 50.0
+    cfg["defaults"]["counterparty"]["threshold"] = {"shape": 6.0, "rate": 100.0}
+    out = tmp_path / "o"
+    code = main(["defaults", "--mc-check", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == 0
+    for name in ("survival.csv", "density.csv"):
+        table = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert table.shape[0] == 33 and np.all(np.isfinite(table))
+
+
 @st.composite
 def piecewise_constant(draw, lo, hi):
     """A piecewise_constant time function with breakpoints in and around [0, 0.5]."""
@@ -663,11 +678,17 @@ def piecewise_constant(draw, lo, hi):
     investor=piecewise_constant(0.0, 50.0),
     counterparty=piecewise_constant(0.0, 50.0),
     rate=piecewise_constant(-1.0, 1.0),
+    # Once the threshold rate times the cumulative intensity passes about 700,
+    # the counterparty's gamma tail underflows and takes the deep-tail branch.
+    shape=st.floats(1.5, 6.0),
+    threshold_rate=st.floats(0.1, 100.0),
 )
-def test_fuzzed_time_functions_run_or_exit_with_a_code(investor, counterparty, rate):
+def test_fuzzed_time_functions_run_or_exit_with_a_code(investor, counterparty, rate, shape,
+                                                        threshold_rate):
     cfg = full_xva_config()
     cfg["defaults"]["investor"]["intensity"] = investor
     cfg["defaults"]["counterparty"]["intensity"] = counterparty
+    cfg["defaults"]["counterparty"]["threshold"] = {"shape": shape, "rate": threshold_rate}
     cfg["market"]["rate"] = rate
     build_run(normalise_config(cfg))
     with tempfile.TemporaryDirectory() as tmp:

@@ -23,7 +23,7 @@ SURV_2_3_07 = 0.3796149275842439
 def log_ugamma(shape, x):
     # log ugamma(shape, x) = log Gamma(shape) + log Q(shape, x), assembled from
     # the module's log Q as the hazard factor assembles it.
-    return math.lgamma(shape) + float(_log_q(shape, np.array([float(x)]))[0])
+    return math.lgamma(shape) + float(_log_q(shape, np.array([float(x)]))[0][0])
 
 
 def ugamma(shape, x):
@@ -214,3 +214,47 @@ def test_hazard_singular_for_array_containing_zero(shape):
     with pytest.raises(SingularInputError, match="x=0"):
         gamma_hazard_factor(params, np.array([0.5, 0.0, 3.0]))
     assert np.all(np.isfinite(gamma_hazard_factor(params, np.array([0.5, 3.0]))))
+
+
+def deep_points(shape):
+    # At least 1000 abscissae from the first u where gammaincc underflows
+    # below 1e-300 up to 1e8: dense just past the switch, geometric beyond.
+    grid = np.geomspace(1.0, 1e8, 400_001)
+    first = grid[sp.gammaincc(shape, grid) < 1e-300][0]
+    u = np.unique(np.concatenate([np.linspace(first, first + 300.0, 500),
+                                  np.geomspace(first, 1e8, 1000)]))
+    assert np.all(sp.gammaincc(shape, u) < 1e-300) and u.size >= 1000
+    return u
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_deep_tail_matches_integer_shape_closed_form(n):
+    # ugamma(n, u) = (n-1)! e^-u sum_{k<n} u^k/k!, so with
+    # S = sum_j (n-1)!/(n-1-j)! u^-j the hazard is rate / S and
+    # log Q = -u + (n-1) log u - lgamma(n) + log S.
+    u = deep_points(float(n))
+    j = np.arange(n)
+    coef = np.array([math.factorial(n - 1) / math.factorial(n - 1 - k) for k in j])
+    s = (coef * u[:, None] ** -j).sum(axis=1)
+    rate = 2.0
+    hazard = gamma_hazard_factor(GammaParams(float(n), rate), u / rate)
+    np.testing.assert_allclose(hazard, rate / s, rtol=1e-13, atol=0.0)
+    log_q = -u + (n - 1) * np.log(u) - math.lgamma(n) + np.log(s)
+    np.testing.assert_allclose(_log_q(float(n), u)[0], log_q, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [0.3, 2.5, 150.0])
+def test_deep_tail_matches_gauss_laguerre_oracle(shape):
+    # U(1, 1 + a, u) = u^-1 int_0^inf (1 + s/u)^(a-1) e^-s ds on 40 Laguerre
+    # nodes; ugamma(a, u) = e^-u u^a U makes the hazard rate / (u U).
+    u = deep_points(shape)
+    s, w = np.polynomial.laguerre.laggauss(40)
+    tricomi = (w * np.exp((shape - 1.0) * np.log1p(s / u[:, None]))).sum(axis=1) / u
+    rate = 0.5
+    hazard = gamma_hazard_factor(GammaParams(shape, rate), u / rate)
+    np.testing.assert_allclose(hazard, rate / (u * tricomi), rtol=1e-12, atol=0.0)
+    log_q = np.log(tricomi) + shape * np.log(u) - u - math.lgamma(shape)
+    np.testing.assert_allclose(_log_q(shape, u)[0], log_q, rtol=1e-14, atol=0.0)
+    # Monotone toward the rate: from below for shape > 1, from above below 1.
+    gap = (rate - hazard) * np.sign(shape - 1.0)
+    assert np.all(gap > 0.0) and np.all(np.diff(gap) < 0.0)
