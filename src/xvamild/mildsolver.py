@@ -47,7 +47,16 @@ import numpy as np
 
 from .defaultclock import _trapezoid_cumsum
 from .gridfn import CoverageError, GridFunction, _check_uniform, sup_diff
-from .simulate import _CHUNK, TimeGrid, _euler_step, _step_table, simulate_paths
+from .simulate import (
+    _CHUNK,
+    TimeGrid,
+    _check_path_budget,
+    _euler_step,
+    _finite_rows,
+    _path_chunks,
+    _step_table,
+    simulate_paths,
+)
 from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lipschitz
 from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
@@ -512,20 +521,30 @@ def linear_oracle(
     For driver a(t, s, v) + m(t) y the field has the closed mild form
     u(t) = E[e^{int_t^T m} phi + int_t^T e^{int_t^s m} a ds]; this prices
     it directly with its own paths, bypassing the fixed-point machinery.
-    Returns (estimate, stderr).
+    The paths are walked chunk by chunk and only one estimate per path is
+    kept.  Returns (estimate, stderr); raises InvalidPathBudgetError as
+    ``simulate_paths`` does.
     """
     t0, x0, v0 = point
     grid = TimeGrid(float(t0), float(t_end), n_steps)
-    paths = simulate_paths(model, (x0, v0), grid, n_paths, seed)
-    x = paths.valid_x()
-    v = paths.valid_v()
     nodes = grid.nodes
     w = np.exp(_trapezoid_cumsum(on_times(slope, nodes), nodes))
-    a_vals = np.empty_like(x)
-    for k, t in enumerate(nodes):
-        a_vals[:, k] = w[k] * np.asarray(source(t, np.exp(x[:, k]), v[:, k]), dtype=float)
-    integral = np.trapezoid(a_vals, nodes, axis=1)
-    est = w[-1] * np.asarray(payoff(np.exp(x[:, -1]), v[:, -1]), dtype=float) + integral
+    # trapezoid sums each row of a contiguous table on its own, so a path's
+    # estimate does not depend on which chunk carried it
+    ests = []
+    n_invalid = 0
+    for _, x, v in _path_chunks(model, (x0, v0), grid, n_paths, seed):
+        ok = _finite_rows(x, v)
+        if not ok.all():
+            n_invalid += int((~ok).sum())
+            x, v = x[ok], v[ok]
+        a_vals = np.empty_like(x)
+        for k, t in enumerate(nodes):
+            a_vals[:, k] = w[k] * np.asarray(source(t, np.exp(x[:, k]), v[:, k]), dtype=float)
+        integral = np.trapezoid(a_vals, nodes, axis=1)
+        ests.append(w[-1] * np.asarray(payoff(np.exp(x[:, -1]), v[:, -1]), dtype=float) + integral)
+    _check_path_budget(n_invalid, n_paths)
+    est = np.concatenate(ests)
     return float(est.mean()), float(est.std(ddof=1) / math.sqrt(len(est)))
 
 

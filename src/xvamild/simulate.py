@@ -9,6 +9,9 @@ paths produces them with one vectorised seed hash and one PCG64 that it
 reseeds per path, not with a generator per path.  The chunks run one
 after another on the calling thread: that per-path reseeding holds the
 interpreter lock, so worker threads would buy almost nothing.
+``simulate_paths`` gathers the chunks into full path tables; a consumer
+that needs only one number per path (the linear oracle) walks the same
+chunks with ``_path_chunks`` and keeps no tables.
 Coefficients are evaluated through the model's own full-line extension,
 so no state truncation happens here: a variance excursion below zero is
 handled by the coefficients, not the stepper.
@@ -224,6 +227,62 @@ def _euler_step(model: VolModel, table, k: int, t: float, x, v, dt: float, dw, d
     v += dv
 
 
+def _finite_rows(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows of the path tables x and v that stayed finite at every node."""
+    return np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
+
+
+def _check_path_budget(n_invalid: int, n_paths: int) -> None:
+    """Raise InvalidPathBudgetError when more than 0.1% of paths went non-finite."""
+    if n_invalid > _INVALID_BUDGET * n_paths:
+        raise InvalidPathBudgetError(n_invalid, n_paths)
+
+
+def _simulate_chunk(model: VolModel, table, grid: TimeGrid, start, master_seed: int,
+                    lo: int, n_c: int):
+    """Paths lo .. lo + n_c - 1 as (lo, x, v), x and v of shape
+    (n_c, n_steps + 1); the noise block is freed on return."""
+    nodes = grid.nodes
+    dt = grid.dt
+    z = np.empty((n_c, grid.n_steps, 2))
+    _fill_noise(z, master_seed, lo)
+    z *= math.sqrt(dt)
+    xs = np.empty((n_c, grid.n_steps + 1))
+    vs = np.empty((n_c, grid.n_steps + 1))
+    x = np.full(n_c, start[0])
+    v = np.full(n_c, start[1])
+    work = np.empty((WORK_PLANES, n_c))
+    xs[:, 0] = x
+    vs[:, 0] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.n_steps):
+            _euler_step(model, table, k, nodes[k], x, v, dt, z[:, k, 0], z[:, k, 1], work)
+            xs[:, k + 1] = x
+            vs[:, k + 1] = v
+    return lo, xs, vs
+
+
+def _path_chunks(model: VolModel, start, grid: TimeGrid, n_paths: int, master_seed: int):
+    """Validate the run, then walk its paths in chunks of at most _CHUNK.
+
+    Returns an iterator of (lo, x, v): x and v hold rows lo, lo + 1, ... of
+    the tables ``simulate_paths`` returns, bit for bit.  A consumer that
+    keeps only per-path summaries holds one chunk's tables at a time.
+    """
+    x0, v0 = float(start[0]), float(start[1])
+    if not (math.isfinite(x0) and math.isfinite(v0)):
+        raise InvariantError(f"start state must be finite, got {start!r}")
+    if n_paths < 1:
+        raise InvariantError(f"n_paths must be >= 1, got {n_paths}")
+    if master_seed < 0:
+        raise InvariantError(f"master_seed must be non-negative, got {master_seed}")
+    table = _step_table(model, grid.nodes[:-1])
+    return (
+        _simulate_chunk(model, table, grid, (x0, v0), master_seed, lo, min(_CHUNK, n_paths - lo))
+        for lo in range(0, n_paths, _CHUNK)
+    )
+
+
 def simulate_paths(
     model: VolModel,
     start,
@@ -237,43 +296,15 @@ def simulate_paths(
     non-finite.  Identical inputs reproduce the PathSet bitwise, and the
     first n rows do not depend on n_paths.
     """
-    x0, v0 = float(start[0]), float(start[1])
-    if not (math.isfinite(x0) and math.isfinite(v0)):
-        raise InvariantError(f"start state must be finite, got {start!r}")
-    if n_paths < 1:
-        raise InvariantError(f"n_paths must be >= 1, got {n_paths}")
-    if master_seed < 0:
-        raise InvariantError(f"master_seed must be non-negative, got {master_seed}")
-
-    nodes = grid.nodes
-    dt = grid.dt
-    n_nodes = grid.n_steps + 1
-    xs = np.empty((n_paths, n_nodes))
-    vs = np.empty((n_paths, n_nodes))
-
-    table = _step_table(model, nodes[:-1])
-
-    for lo in range(0, n_paths, _CHUNK):
-        hi = min(lo + _CHUNK, n_paths)
-        z = np.empty((hi - lo, grid.n_steps, 2))
-        _fill_noise(z, master_seed, lo)
-        z *= math.sqrt(dt)
-        x = np.full(hi - lo, x0)
-        v = np.full(hi - lo, v0)
-        work = np.empty((WORK_PLANES, hi - lo))
-        xs[lo:hi, 0] = x
-        vs[lo:hi, 0] = v
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                _euler_step(model, table, k, nodes[k], x, v, dt, z[:, k, 0], z[:, k, 1], work)
-                xs[lo:hi, k + 1] = x
-                vs[lo:hi, k + 1] = v
-
-    invalid = ~(np.isfinite(xs).all(axis=1) & np.isfinite(vs).all(axis=1))
-    paths = PathSet(grid=grid, x=xs, v=vs, master_seed=master_seed, invalid=invalid)
-    if paths.n_invalid > _INVALID_BUDGET * n_paths:
-        raise InvalidPathBudgetError(paths.n_invalid, n_paths)
-    return paths
+    chunks = _path_chunks(model, start, grid, n_paths, master_seed)  # validates first
+    xs = np.empty((n_paths, grid.n_steps + 1))
+    vs = np.empty((n_paths, grid.n_steps + 1))
+    for lo, x, v in chunks:
+        xs[lo:lo + len(x)] = x
+        vs[lo:lo + len(v)] = v
+    invalid = ~_finite_rows(xs, vs)
+    _check_path_budget(int(invalid.sum()), n_paths)
+    return PathSet(grid=grid, x=xs, v=vs, master_seed=master_seed, invalid=invalid)
 
 
 def exact_price(grid: TimeGrid, v_path, dw_hat, drift_b, theta_fn, s0: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunSetup, _largest_divisor, resolve_axes
 from .defaultclock import identity_gaps
 from .gridfn import CoverageError, GridFunction
-from .mildsolver import McConfig, comparison_check, linear_oracle, picard_solve
+from .mildsolver import McConfig, _slab_partition, comparison_check, linear_oracle, picard_solve
 from .simulate import TimeGrid
 from .special import GammaParams, gamma_survival
 from .valuation import (
@@ -308,7 +308,12 @@ def check_comparison(setup: RunSetup, other: RunSetup, threads: int) -> CheckRes
 
 
 def run_verify(setup: RunSetup, threads: int, compare: RunSetup = None) -> list:
-    """Run every applicable check; order is cheap-to-expensive."""
+    """Run every applicable check; order is cheap-to-expensive.
+
+    A config whose time nodes `solve` would reject for their Lipschitz
+    budget raises InvariantError here, before any check runs.
+    """
+    _slab_partition(setup.spec, np.linspace(setup.t0, setup.t_end, setup.nt))
     results = [
         check_gamma_tail(),
         check_default_clock(setup),

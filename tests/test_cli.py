@@ -650,19 +650,41 @@ def test_cli_sub_unit_threshold_shape_exits_1(tmp_path, capsys, command):
     assert "run failed" in err and "shape=0.5" in err
 
 
-def test_cli_deep_gamma_tail_runs(tmp_path):
-    # Counterparty intensity 50 against a Gamma(6, 100) threshold: rate times
-    # the cumulative intensity passes 700 early in the book's half year, so
-    # most curve nodes sit where gammaincc underflows.
+def deep_tail_book():
+    """Counterparty intensity 50 against a Gamma(6, 100) threshold: rate times
+    the cumulative intensity passes 700 early in the book's half year, so
+    most curve nodes sit where gammaincc underflows."""
     cfg = json.loads((REPO / "perfbench" / "book.json").read_text())
     cfg["defaults"]["counterparty"]["intensity"] = 50.0
     cfg["defaults"]["counterparty"]["threshold"] = {"shape": 6.0, "rate": 100.0}
+    return cfg
+
+
+def test_cli_deep_gamma_tail_runs(tmp_path):
     out = tmp_path / "o"
-    code = main(["defaults", "--mc-check", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    code = main(["defaults", "--mc-check", "--config", write_cfg(tmp_path, deep_tail_book()),
+                 "--out", str(out)])
     assert code == 0
     for name in ("survival.csv", "density.csv"):
         table = np.loadtxt(out / name, delimiter=",", skiprows=1)
         assert table.shape[0] == 33 and np.all(np.isfinite(table))
+
+
+def test_verify_rejects_an_over_budget_config_as_solve_does(tmp_path, capsys):
+    # The deep-tail book's hazard puts a Lipschitz budget above 100 on its
+    # first time interval; verify refuses it before any check runs.
+    cfg_path = write_cfg(tmp_path, deep_tail_book())
+    errs = []
+    for command in ("solve", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--out", str(out), "--threads", "2"]) == 2
+        errs.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errs[0] == errs[1]
+    assert errs[0] == (
+        "config error: interval [0.0, 0.125] alone carries Lipschitz budget 119.105 > 0.5; "
+        "refine the time nodes\n"
+    )
 
 
 @st.composite

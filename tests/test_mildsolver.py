@@ -3,12 +3,13 @@ import json
 import math
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xvamild.defaultclock import DefaultSpec, PartyDefault
+from xvamild.defaultclock import DefaultSpec, PartyDefault, _trapezoid_cumsum
 from xvamild import mildsolver
 from xvamild.gridfn import GridFunction, _cells, save_grid, write_grid_csv, write_table
 from xvamild.mildsolver import (
@@ -26,7 +27,7 @@ from xvamild.mildsolver import (
     refine_point,
     sup_diff,
 )
-from xvamild.simulate import _CHUNK, TimeGrid, simulate_paths
+from xvamild.simulate import _CHUNK, InvalidPathBudgetError, TimeGrid, _path_chunks, simulate_paths
 from xvamild.special import GammaParams
 from xvamild.valuation import (
     MarketSpec,
@@ -34,7 +35,14 @@ from xvamild.valuation import (
     constant_dividend,
     constant_payoff,
 )
-from xvamild.volmodel import InvariantError, black_scholes_params, build_power_model, heston_params
+from xvamild.volmodel import (
+    InvariantError,
+    VolModel,
+    black_scholes_params,
+    build_power_model,
+    heston_params,
+    on_times,
+)
 
 X0 = math.log(100.0)
 
@@ -464,6 +472,82 @@ def test_linear_oracle_growth_case():
     assert abs(est - exact) <= 3.0 * err + 1e-4
     assert err > 0.0
 
+
+def test_linear_oracle_matches_the_full_table_formula_bit_for_bit():
+    # 2 * _CHUNK + 3 paths: the last chunk holds three rows.  V is a
+    # Brownian motion and theta turns infinite above the fourth-highest
+    # step-start level of V, so exactly three rows of X go non-finite and
+    # the oracle must drop the same rows the full tables mark invalid.
+    n_paths, seed = 2 * _CHUNK + 3, 11
+    grid = TimeGrid(0.0, 0.5, 16)
+    start = (X0, 0.04)
+    walk = VolModel(
+        drift_b=lambda t: 0.02,
+        coefficients=lambda t, v, work=None: (0.2, 0.0, 0.3),
+        correlation=lambda t: -0.5,
+    )
+    level = np.sort(simulate_paths(walk, start, grid, n_paths, seed).v[:, :-1].max(axis=1))[-4]
+    model = replace(walk, coefficients=lambda t, v, work=None: (
+        np.where(v > level, np.inf, 0.2), 0.0, 0.3))
+    paths = simulate_paths(model, start, grid, n_paths, seed)
+    assert paths.n_invalid == 3
+
+    chunks = list(_path_chunks(model, start, grid, n_paths, seed))
+    assert [(lo, len(x)) for lo, x, _ in chunks] == [(0, _CHUNK), (_CHUNK, _CHUNK), (2 * _CHUNK, 3)]
+    assert np.array_equal(np.concatenate([x for _, x, _ in chunks]), paths.x, equal_nan=True)
+    assert np.array_equal(np.concatenate([v for _, _, v in chunks]), paths.v)
+
+    payoff = capped_call(100.0, 30.0)
+
+    def source(t, s, v):
+        return 0.01 * s + v
+
+    def slope(t):
+        return -0.03 - 0.1 * t
+
+    x, v, nodes = paths.valid_x(), paths.valid_v(), grid.nodes
+    w = np.exp(_trapezoid_cumsum(on_times(slope, nodes), nodes))
+    a_vals = np.empty_like(x)
+    for k, t in enumerate(nodes):
+        a_vals[:, k] = w[k] * np.asarray(source(t, np.exp(x[:, k]), v[:, k]), dtype=float)
+    est = (w[-1] * np.asarray(payoff(np.exp(x[:, -1]), v[:, -1]), dtype=float)
+           + np.trapezoid(a_vals, nodes, axis=1))
+    want = (float(est.mean()), float(est.std(ddof=1) / math.sqrt(len(est))))
+    got = linear_oracle(model, payoff, source, slope, (0.0, *start), 0.5, 16, n_paths, seed)
+    assert got == want
+
+
+def test_linear_oracle_holds_no_full_path_tables():
+    # Two full (20 000, 65) float tables take 20.8 MB; the oracle keeps one
+    # chunk's tables and their trapezoid temporaries at a time.
+    model = build_power_model(heston_params(k=0.05, l0=1.0, lam=0.3, rho=-0.5, drift_b=0.02))
+    tracemalloc.start()
+    try:
+        linear_oracle(
+            model, capped_call(100.0, 30.0), constant_dividend(0.01), -0.03,
+            (0.0, X0, 0.04), 0.5, n_steps=64, n_paths=20000, seed=907,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 20000 * 65 * 8
+
+
+def test_linear_oracle_enforces_the_invalid_path_budget():
+    model = VolModel(
+        drift_b=lambda t: 0.0,
+        coefficients=lambda t, v, work=None: (1e200, 0.0, 0.0),
+        correlation=lambda t: 0.0,
+    )
+    grid = TimeGrid(0.0, 1.0, 5)
+    with pytest.raises(InvalidPathBudgetError) as sim:
+        simulate_paths(model, (0.0, 1.0), grid, 100, master_seed=2)
+    with pytest.raises(InvalidPathBudgetError) as oracle:
+        linear_oracle(
+            model, constant_payoff(1.0), lambda t, s, v: np.zeros_like(s), 0.0,
+            (0.0, 0.0, 1.0), 1.0, 5, 100, seed=2,
+        )
+    assert (oracle.value.n_invalid, oracle.value.n_paths) == (sim.value.n_invalid, 100)
 
 def test_picard_matches_closed_form_and_oracle():
     # driver a + m y with a = q*s, m = -0.3: closed form
