@@ -7,8 +7,9 @@ query's cell and weight come from its scaled coordinate by arithmetic; the
 t axis may be any increasing axis.  ``evaluate_at_time`` also reads many x
 nodes at one shared shift (``rows``): the cells are found once for the
 shift and each node reads its own corners of an edge-padded plane.  The
-interpolation runs v first, so each x row read is interpolated in v once
-and each node then interpolates its two x neighbours.  The
+interpolation runs v first, so each x row read is interpolated in v once,
+into one of two reused planes, and each node then interpolates its two x
+neighbours; ``out`` takes a caller's buffer for the result.  The
 package's one CSV writer, ``write_table``, writes the value grid here and
 the command line's path, survival and density tables.
 """
@@ -111,7 +112,7 @@ class GridFunction:
             return self.values[i]
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
-    def _bilinear(self, plane: np.ndarray, x, v, rows=None):
+    def _bilinear(self, plane: np.ndarray, x, v, rows=None, out=None):
         """Bilinear value of one time plane at (x, v), flat outside the hull.
 
         With ``rows``, x is a shift shared by those x nodes and the result
@@ -119,12 +120,15 @@ class GridFunction:
         (x, v) shift, and row j reads its corners j * nv further into a
         plane padded with nx - 1 copies of each edge row, so flat
         extrapolation needs no per-element clip.  The interpolation runs v
-        first: each padded x row that some row reads is lerped in v once,
-        with two ``take`` calls, and each row then lerps its two x
-        neighbours, so a run of contiguous rows costs 2 * (rows + 1) takes,
-        not 4 * rows.  A plain query is row 0 of an unpadded plane.  A row's
-        value depends on its node and the shift alone, never on the other
-        rows.  Values agree with a binary-search lookup to within a few ulps.
+        first: the x rows read are visited in row order, each lerped in v
+        with two ``take`` calls into one of two planes, and each row then
+        lerps its two x neighbours.  The upper plane of one row is the
+        lower plane of the next, so a run of contiguous rows costs
+        2 * (rows + 1) takes, not 4 * rows.  A plain query is row 0 of an
+        unpadded plane.  ``out``, C-contiguous and of the result's shape,
+        receives the result.  A row's value depends on its node and the
+        shift alone, never on the other rows.  Values agree with a
+        binary-search lookup to within a few ulps.
         """
         nx, nv = plane.shape
         pad = 0 if rows is None else nx - 1
@@ -134,28 +138,33 @@ class GridFunction:
         corner = (ix + pad) * nv + iv  # node 0's lower corner in the padded plane
         at = [0] if rows is None else [int(j) for j in rows]
         ox, ov = 1.0 - wx, 1.0 - wv
-        part = np.empty(corner.shape)
-        lerp = {}
-        for j in {j + step for j in at for step in (0, 1)}:  # each x row read, lerped in v
-            low = flat[j * nv :].take(corner, mode="clip")
-            low *= ov
-            low += np.multiply(flat[j * nv + 1 :].take(corner, out=part, mode="clip"), wv, out=part)
-            lerp[j] = low
-        out = np.empty((len(at),) + corner.shape)
-        for r, j in enumerate(at):  # then each row in x, from its two neighbours
-            np.multiply(lerp[j], ox, out=out[r])
-            out[r] += np.multiply(lerp[j + 1], wx, out=part)
+        low, high, part = np.empty((3,) + corner.shape)
         shape = np.broadcast_shapes(np.shape(x), np.shape(v))
-        return out.reshape(shape)[()] if rows is None else out.reshape((len(at),) + shape)
+        shape = shape if rows is None else (len(at),) + shape
+        out = np.empty(shape) if out is None else out
+        res = out.reshape((len(at),) + corner.shape)  # a view, out being C-contiguous
+        held = None  # the x row whose v-lerp ``high`` holds
+        for r, j in enumerate(at):
+            if held == j:  # the previous node's upper row is this node's lower row
+                low, high = high, low
+            for row, dst in ((j, low), (j + 1, high))[held == j :]:  # rows not yet lerped in v
+                flat[row * nv :].take(corner, out=dst, mode="clip")
+                dst *= ov
+                dst += np.multiply(flat[row * nv + 1 :].take(corner, out=part, mode="clip"), wv, out=part)
+            np.multiply(low, ox, out=res[r])  # then the node in x, from its two neighbours
+            res[r] += np.multiply(high, wx, out=part)
+            held = j + 1
+        return out if out.ndim else out[()]
 
-    def evaluate_at_time(self, t: float, x, v, rows=None):
+    def evaluate_at_time(self, t: float, x, v, rows=None, out=None):
         """Interpolate at one time for vectors of (x, v).
 
         With ``rows``, a list of x-node indices, x is a shift shared by those
         nodes: the value at node j is read at x_nodes[j] + x, and the result
-        has a leading axis over the rows.
+        has a leading axis over the rows.  ``out``, an optional C-contiguous
+        array of the result's shape, receives the result.
         """
-        return self._bilinear(self._plane_at(float(t)), np.asarray(x), np.asarray(v), rows)
+        return self._bilinear(self._plane_at(float(t)), np.asarray(x), np.asarray(v), rows, out)
 
 
 def sup_diff(a: GridFunction, b: GridFunction) -> float:

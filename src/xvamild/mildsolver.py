@@ -28,7 +28,9 @@ Every sweep cuts the x rows into blocks, one per thread
 ``_run_blocks`` runs block 0 on the calling thread and every other block
 on a thread of its own; the sweep is the only code in the package that
 starts threads.  A block draws each chunk's normals itself and
-walks the chunks in order.  Each node's sums reduce along its own paths
+walks the chunks in order on three state arrays over its rows and a few
+(v node, path) planes, allocated once per block, so a step allocates no
+array over the rows.  Each node's sums reduce along its own paths
 and are added, chunk after chunk, into that node's place in one array,
 so neither the blocks nor the thread count change a bit.
 When the driver's value-Lipschitz budget over the horizon exceeds 1/2
@@ -61,7 +63,7 @@ from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lip
 from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
 _BUDGET_CAP = 0.5  # per-slab integrated Lipschitz bound
-_STATE_BUDGET = 500_000  # floats in one state array of a one-thread block, nodes x chunk paths
+_STATE_BUDGET = 500_000  # floats in one of a one-thread block's three state arrays, nodes x chunk paths
 _HULL_Q = 0.001  # pilot-cloud quantile kept inside the auto hull, at each end
 _HULL_PAD = 0.15  # auto hull widening, as a fraction of its span
 
@@ -155,18 +157,23 @@ def _sweep_slices(
 
     ``_node_blocks`` cuts the x rows into one block per thread, one per
     row when rows are fewer, and ``_run_blocks`` runs each block on its
-    own thread.  A block walks the chunks in order; for each it
-    draws the chunk's normals itself and sweeps every slice with m_start
-    < m_end in order through one set of arrays.  The Euler step moves v,
-    its work planes and the log-price shift d, all (nv, paths), so V and
-    its coefficients run once per v node.  The rows' x, (rows, nv, paths),
-    is formed as start node plus d once per driver step, for ``outside``,
+    own thread.  A block allocates its arrays once, sized for the first
+    (largest) chunk, and each chunk takes C-contiguous views of their
+    fronts.  A block walks the chunks in order; for each it draws the
+    chunk's normals itself and sweeps every slice with m_start < m_end in
+    order through the same arrays.  The Euler step moves v, its work
+    planes and the log-price shift d, all (nv, paths), so V and its
+    coefficients run once per v node.  A step keeps three state arrays
+    of shape (rows, nv, paths): x, the integral and y.  The rows' x is
+    formed as start node plus d once per driver step, for ``outside``,
     and then overwritten by the driver's price s = exp(x).  When every x
     row is a node of u_prev, the gather gets d and the rows' node indices,
     so it finds its cells once per (v node, path); otherwise it reads the
-    full x before s overwrites it.  The driver writes its rates into the
-    block's own two buffers.  The driver integral is a running sum of the
-    rates, end points halved, times dt once per slice.  Each node's sums
+    full x before s overwrites it.  The gather writes u_prev into y.  The
+    driver writes its rate over the spent price s and uses the spent y as
+    its work.  The driver integral is a running sum of the rates, end
+    points halved, times dt once per slice; at the slice end the payoff
+    reads s, and the sum of squares goes into the spent y.  Each node's sums
     reduce along its own paths and are added, chunk after chunk, into the
     block's own columns of one (2, slices, nodes) array; blocks own
     disjoint columns, so they need no lock and no merge, and every node
@@ -182,19 +189,22 @@ def _sweep_slices(
     size = max(128, min(_CHUNK, _STATE_BUDGET // max(n_nodes, 1)))
     chunks = [(c, min(size, mc.n_paths - lo)) for c, lo in enumerate(range(0, mc.n_paths, size))]
 
-    def terminal(x, v):
-        # the payoff at the (x, v) broadcast shape, also one that reads v alone
-        phi = np.asarray(payoff(np.exp(x), v), dtype=float)
-        return np.ascontiguousarray(np.broadcast_to(phi, np.broadcast_shapes(x.shape, v.shape)))
+    def terminal(s, v):
+        # the payoff at the (s, v) broadcast shape, also one that reads v alone,
+        # never sharing memory with s, which the driver then overwrites
+        phi = np.asarray(payoff(s, v), dtype=float)
+        phi = phi.copy() if np.may_share_memory(phi, s) else phi
+        return np.ascontiguousarray(np.broadcast_to(phi, np.broadcast_shapes(s.shape, v.shape)))
 
     at = None  # the x rows as node indices of u_prev, when every row is a node
     if u_prev is not None and np.isin(x_nodes, u_prev.x_nodes).all():
         at = np.searchsorted(u_prev.x_nodes, x_nodes).tolist()
 
     def run_slice(m_start: int, z: np.ndarray, lo: int, hi: int, rows, planes):
-        # rows: x (then s), the integral and the driver's two buffers; planes: the
-        # shift d, v and the step's work; all reused
-        (x, integral, rate, scratch), (d, v), work = rows, planes[:2], planes[2:]
+        # rows: x (then s, then the driver's rate), the integral and y (the
+        # gather's output, then the driver's work); planes: the shift d, v and
+        # the step's work; all reused
+        (x, integral, y), (d, v), work = rows, planes[:2], planes[2:]
         starts_x = x_nodes[lo:hi, None, None]
         block_rows = None if at is None else at[lo:hi]
         query = x if at is None else d  # the gather reads the full x or the rows' shared shift
@@ -208,18 +218,18 @@ def _sweep_slices(
                 if u_prev is not None:
                     np.add(starts_x, d, out=x)
                     outside += int(np.count_nonzero(u_prev.outside(x, v)))
-                    y = u_prev.evaluate_at_time(t, query, v, rows=block_rows)
+                    u_prev.evaluate_at_time(t, query, v, rows=block_rows, out=y)
                     s = np.exp(x, out=x)
-                    _driver_at(spec, terms[:, k], t, s, v, y, out=rate, work=scratch)
+                    rate = _driver_at(spec, terms[:, k], t, s, v, y, out=s, work=y)
                     if k == m_start:
                         rate *= 0.5
                     integral += rate
                 _euler_step(model, steps, k, t, d, v, dt, z[k, :, 0], z[k, :, 1], work)
         np.add(starts_x, d, out=x)
-        est = terminal(x, v)
+        s = np.exp(x, out=x)
+        est = terminal(s, v)
         if u_prev is not None:
-            s = np.exp(x, out=x)
-            _driver_at(spec, terms[:, m_end], nodes[m_end], s, v, est, out=rate, work=scratch)
+            rate = _driver_at(spec, terms[:, m_end], nodes[m_end], s, v, est, out=s, work=y)
             rate *= 0.5
             integral += rate
             integral *= dt
@@ -229,7 +239,7 @@ def _sweep_slices(
             raise CoverageError(
                 "non-finite Monte Carlo estimate; the model explodes on this grid"
             )
-        return est.sum(axis=2).ravel(), (est * est).sum(axis=2).ravel(), outside
+        return est.sum(axis=2).ravel(), np.multiply(est, est, out=y).sum(axis=2).ravel(), outside
 
     mean = np.empty((len(starts), n_nodes))
     stderr = np.zeros((len(starts), n_nodes))
@@ -237,7 +247,7 @@ def _sweep_slices(
     swept = []
     for i, m_start in enumerate(starts):
         if m_start == m_end:
-            mean[i] = terminal(x_nodes[:, None], v_nodes).ravel()
+            mean[i] = terminal(np.exp(x_nodes[:, None]), v_nodes).ravel()
         else:
             swept.append(i)
     sums = np.zeros((2, len(swept), n_nodes))  # (sum, sum of squares) per swept slice and node
@@ -245,13 +255,18 @@ def _sweep_slices(
     def run_block(block):
         lo, hi = block
         outside = 0
+        # one buffer each for the rows and the planes, sized for the first
+        # (largest) chunk; each chunk takes a C-contiguous view of its front
+        row_buf = np.empty(3 * (hi - lo) * nv * chunks[0][1])
+        plane_buf = np.empty((2 + WORK_PLANES) * nv * chunks[0][1])
         for c_idx, n_c in chunks:  # in chunk order, so each node adds its chunks in order
             rng = np.random.default_rng(
                 np.random.SeedSequence([mc.master_seed, seed_salt, c_idx])
             )
-            z = rng.standard_normal((m_end, n_c, 2)) * sq_dt
-            rows = np.empty((4, hi - lo, nv, n_c))
-            planes = np.empty((2 + WORK_PLANES, nv, n_c))
+            z = rng.standard_normal((m_end, n_c, 2))
+            z *= sq_dt
+            rows = row_buf[: 3 * (hi - lo) * nv * n_c].reshape(3, hi - lo, nv, n_c)
+            planes = plane_buf[: (2 + WORK_PLANES) * nv * n_c].reshape(2 + WORK_PLANES, nv, n_c)
             for col, i in enumerate(swept):
                 total, squares, out = run_slice(starts[i], z, lo, hi, rows, planes)
                 sums[:, col, lo * nv : hi * nv] += (total, squares)

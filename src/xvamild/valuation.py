@@ -37,7 +37,9 @@ def capped_call(strike: float, cap: float) -> Callable:
     """(s - strike)^+ capped at cap; bounded as the solver requires."""
 
     def phi(s, v):
-        return np.minimum(np.maximum(np.asarray(s, dtype=float) - strike, 0.0), cap)
+        out = np.subtract(s, strike, out=np.empty(np.shape(s)))  # the one temporary
+        np.maximum(out, 0.0, out=out)
+        return np.minimum(out, cap, out=out)[()]  # a scalar s gives a scalar
 
     return phi
 
@@ -236,7 +238,9 @@ def _driver_at(spec: MarketSpec, terms, t: float, s, v, y, out=None, work=None):
     The dividend and hedge terms keep their own shape (a scalar for the
     built-in dividends and the zero hedge); the result has the shape of s,
     y and the terms broadcast together.  ``out`` and ``work``, both of that
-    shape, are optional buffers; the result is written into ``out``.
+    shape, are optional buffers; the result is written into ``out``.  The
+    hedge and dividend are read first, so ``out`` may be s itself and
+    ``work`` may be y itself; both are then overwritten.
     """
     s_arr = np.asarray(s, dtype=float)
     if s_arr.size and not (s_arr.min() > 0.0 and s_arr.max() < math.inf):  # NaN fails too
@@ -250,8 +254,11 @@ def _driver_at(spec: MarketSpec, terms, t: float, s, v, y, out=None, work=None):
     shape = np.broadcast_shapes(s_arr.shape, y_arr.shape, np.shape(base), *map(np.shape, terms))
     out = np.empty(shape) if out is None else out
     work = np.empty(shape) if work is None else work
-    np.add(base, np.multiply(np.maximum(y_arr, 0.0, out=work), m_pos, out=work), out=out)
-    out += np.multiply(np.minimum(y_arr, 0.0, out=work), -m_neg, out=work)
+    # (base + y+ m+) + y- m-, with y- m- written first: s is spent once base is
+    # built, and y once both parts are
+    np.multiply(np.minimum(y_arr, 0.0, out=out), -m_neg, out=out)
+    np.add(base, np.multiply(np.maximum(y_arr, 0.0, out=work), m_pos, out=work), out=work)
+    np.add(work, out, out=out)
     return out if out.shape else float(out)
 
 

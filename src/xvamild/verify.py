@@ -310,10 +310,12 @@ def check_comparison(setup: RunSetup, other: RunSetup, threads: int) -> CheckRes
 def run_verify(setup: RunSetup, threads: int, compare: RunSetup = None) -> list:
     """Run every applicable check; order is cheap-to-expensive.
 
-    A config whose time nodes `solve` would reject for their Lipschitz
-    budget raises InvariantError here, before any check runs.
+    A config, or a compare config, whose time nodes `solve` would reject
+    for their Lipschitz budget raises InvariantError here, before any check
+    runs.
     """
-    _slab_partition(setup.spec, np.linspace(setup.t0, setup.t_end, setup.nt))
+    for cfg in (setup,) if compare is None else (setup, compare):
+        _slab_partition(cfg.spec, np.linspace(cfg.t0, cfg.t_end, cfg.nt))
     results = [
         check_gamma_tail(),
         check_default_clock(setup),

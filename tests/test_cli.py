@@ -687,6 +687,22 @@ def test_verify_rejects_an_over_budget_config_as_solve_does(tmp_path, capsys):
     )
 
 
+def test_verify_rejects_an_over_budget_compare_config_up_front(tmp_path, capsys):
+    # The same refusal when the deep-tail book is the --compare config: exit
+    # 2 with solve's message before any check, not a FAILed comparison.
+    out = tmp_path / "verify"
+    code = main(["verify", "--config", str(REPO / "perfbench" / "book.json"),
+                 "--compare", write_cfg(tmp_path, deep_tail_book()), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+    assert captured.err == (
+        "config error: interval [0.0, 0.125] alone carries Lipschitz budget 119.105 > 0.5; "
+        "refine the time nodes\n"
+    )
+
+
 @st.composite
 def piecewise_constant(draw, lo, hi):
     """A piecewise_constant time function with breakpoints in and around [0, 0.5]."""

@@ -214,9 +214,14 @@ def test_row_shift_gather_matches_plain_gather(x_axis):
     ])
     d, vq = np.meshgrid(shifts, gather_queries(vn)[::4])  # a (v node, path)-like plane
     everything = list(range(len(xn)))
-    for rows in (everything, [0], [cells], everything[1:3]):
+    for rows in (everything, [0], [cells], everything[1:3], [cells, 0]):
         got = g.evaluate_at_time(0.25, d, vq, rows=rows)
         want = g.evaluate_at_time(0.25, xn[rows][:, None, None] + d, vq)
+        # into a caller's buffer, row-shift and plain queries keep their bits
+        for query, rows_arg, ref in ((d, rows, got), (xn[rows][:, None, None] + d, None, want)):
+            buf = np.full(ref.shape, np.nan)
+            assert g.evaluate_at_time(0.25, query, vq, rows=rows_arg, out=buf) is buf
+            assert buf.tobytes() == ref.tobytes()
         assert got.shape == (len(rows),) + d.shape
         assert np.array_equal(np.isnan(got), np.isnan(want))
         assert np.array_equal(np.isnan(got), np.broadcast_to(np.isnan(d) | np.isnan(vq), got.shape))
@@ -914,3 +919,38 @@ def test_payoff_and_dividend_that_read_v_alone_broadcast_over_x():
             assert field_err[:, i, :].tobytes() == err_i.tobytes()
     # a payoff of v alone gives every x row of the terminal sweep the same values
     assert np.all(terminal.values == terminal.values[:, :1, :])
+
+
+def test_payoff_that_returns_its_own_price_keeps_the_sweep_bits():
+    # the slice end hands the payoff the price array the driver then writes
+    # its rate over, so a payoff that returns its argument must not see it move
+    spec, model, u = multi_chunk_problem()
+    mc = McConfig(n_paths=1500, n_steps=6, master_seed=4)
+    runs = []
+    for payoff in (lambda s, v: s, lambda s, v: np.array(s)):
+        sweep, err, cov = apply_mild_map(replace(spec, payoff=payoff), model, u, u.t_nodes,
+                                         u.x_nodes, u.v_nodes, mc)
+        runs.append((sweep.values.tobytes(), err.tobytes(), cov))
+    assert runs[0] == runs[1]
+
+
+def test_driver_sweep_holds_at_most_five_block_arrays():
+    # One driver sweep on the martingale check's grid (9 x 21 x 7 nodes, 8000
+    # paths, 32 steps, one thread): the block's three state arrays, the
+    # payoff's estimate and the chunk's normals, with plane-sized temporaries,
+    # stay within five (21, 7, chunk) float arrays.  numpy reports its buffers
+    # to tracemalloc, so the peak repeats exactly.
+    model = build_power_model(heston_params(k=0.05, l0=1.0, lam=0.3, rho=-0.5, drift_b=0.02))
+    spec = MarketSpec(rate=0.03, collateral_rate_pos=0.05, funding_rate_neg=0.02,
+                      payoff=capped_call(100.0, 30.0))
+    t, x, v = np.linspace(0.0, 0.5, 9), np.linspace(X0 - 0.8, X0 + 0.8, 21), np.linspace(0.0, 0.12, 7)
+    mc = McConfig(n_paths=8000, n_steps=32, master_seed=5)
+    u, _, _ = apply_mild_map(spec, model, None, t, x, v, mc)
+    chunk = min(_CHUNK, _STATE_BUDGET // (21 * 7))
+    tracemalloc.start()
+    try:
+        apply_mild_map(spec, model, u, t, x, v, mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 21 * 7 * chunk * 8, peak / (21 * 7 * chunk * 8)

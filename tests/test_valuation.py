@@ -695,9 +695,11 @@ def test_driver_matches_collected_formula_within_bound(name):
             assert type(got) is float and abs(got - want) <= DRIVER_BOUND
 
 
-@pytest.mark.parametrize("name", ["xva_fixture", "hedged", "no_own_funding", "dividend"])
+@pytest.mark.parametrize("name", ["xva_fixture", "hedged", "no_own_funding", "dividend",
+                                  "state_shaped"])
 def test_driver_into_buffers_is_bit_equal_to_the_allocating_call(name):
-    spec = driver_spec(name)
+    # xva_fixture has a scalar base; state_shaped a state-shaped hedge and dividend
+    spec = state_shaped(driver_spec("hedged")) if name == "state_shaped" else driver_spec(name)
     rng = np.random.default_rng(6)
     s = np.exp(rng.normal(4.6, 0.3, (5, 1, 64)))
     v = rng.uniform(-0.01, 0.3, (3, 64))
@@ -709,6 +711,12 @@ def test_driver_into_buffers_is_bit_equal_to_the_allocating_call(name):
         out, work = np.full(want.shape, np.nan), np.full(want.shape, np.nan)
         got = _driver_at(spec, terms, 0.3, *args, out=out, work=work)
         assert got is out and got.shape == want.shape and got.tobytes() == want.tobytes()
+    # as the sweep calls it: the result over the price, the work over the value
+    s_full = np.ascontiguousarray(np.broadcast_to(s, y.shape))
+    want = _driver_at(spec, terms, 0.3, s_full, v, y)
+    s_buf, y_buf = s_full.copy(), y.copy()
+    got = _driver_at(spec, terms, 0.3, s_buf, v, y_buf, out=s_buf, work=y_buf)
+    assert got is s_buf and got.tobytes() == want.tobytes()
 
 
 def state_shaped(spec):
@@ -783,9 +791,9 @@ def test_exploding_paths_raise_as_before_through_the_gather(monkeypatch):
     seen = []
     gather = GridFunction.evaluate_at_time
 
-    def spy(self, tt, xq, vq, rows=None):
+    def spy(self, tt, xq, vq, rows=None, out=None):
         seen.append(bool(np.all(np.isfinite(xq)) and np.all(np.isfinite(vq))))
-        return gather(self, tt, xq, vq, rows=rows)
+        return gather(self, tt, xq, vq, rows=rows, out=out)
 
     monkeypatch.setattr(GridFunction, "evaluate_at_time", spy)
     mc = McConfig(n_paths=256, n_steps=16, master_seed=3)
