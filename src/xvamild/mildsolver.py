@@ -23,8 +23,9 @@ per v node.  The increment never reads x either, so X from x is x plus
 X from 0: a sweep steps one log-price shift per v node and path, every x
 row reads its start node plus that shift, and when the rows are nodes of
 the iterate the gather finds the shift's cells once for all of them.
-Every sweep cuts the x rows into blocks, one per thread
-(one per row when rows are fewer, one block at one thread), and
+A sweep cuts the x rows into blocks: one per thread, but no more than
+carry ``_MIN_BLOCK`` node·paths of its first chunk each, and one per row
+when rows are fewer, so a small sweep is one block at any thread count.
 ``_run_blocks`` runs block 0 on the calling thread and every other block
 on a thread of its own; the sweep is the only code in the package that
 starts threads.  A block draws each chunk's normals itself and
@@ -64,6 +65,11 @@ from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
 _BUDGET_CAP = 0.5  # per-slab integrated Lipschitz bound
 _STATE_BUDGET = 500_000  # floats in one of a one-thread block's three state arrays, nodes x chunk paths
+# node·paths of its first chunk a sweep's block must carry to get a thread of
+# its own: every block re-draws the chunk's normals and re-steps the same
+# variance planes, which below about 100k on two cores costs more than the
+# thread saves (the crossover scan in BENCH_27.json)
+_MIN_BLOCK = 100_000
 _HULL_Q = 0.001  # pilot-cloud quantile kept inside the auto hull, at each end
 _HULL_PAD = 0.15  # auto hull widening, as a fraction of its span
 
@@ -109,7 +115,8 @@ def _master_indices(t_nodes: np.ndarray, master: TimeGrid) -> list:
 def _node_blocks(n_rows: int, threads: int) -> list:
     """[lo, hi) ranges of x rows covering 0 .. n_rows in order: min(threads,
     n_rows) blocks, at least one, whose sizes differ by at most one row, so
-    a grid with fewer rows than threads gets one block per row."""
+    a grid with fewer rows than threads gets one block per row.  A sweep
+    passes its thread count already capped by its work (``_sweep_slices``)."""
     n = max(1, min(threads, n_rows))
     cuts = [i * n_rows // n for i in range(n + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
@@ -155,9 +162,13 @@ def _sweep_slices(
     0 .. m_end - 1 in one call; the generator fills the block in order,
     so step k consumes the same numbers no matter where the slice begins.
 
-    ``_node_blocks`` cuts the x rows into one block per thread, one per
-    row when rows are fewer, and ``_run_blocks`` runs each block on its
-    own thread.  A block allocates its arrays once, sized for the first
+    The sweep's work is x nodes x v nodes x the first chunk's paths, and
+    it takes min(threads, work // _MIN_BLOCK) blocks, at least one:
+    ``_node_blocks`` cuts the x rows into that many, one per row when rows
+    are fewer, and ``_run_blocks`` runs each block on its own thread.  A
+    smaller block would spend more re-drawing the normals and re-stepping
+    the planes than a thread saves, so a small sweep runs on the calling
+    thread alone.  A block allocates its arrays once, sized for the first
     (largest) chunk, and each chunk takes C-contiguous views of their
     fronts.  A block walks the chunks in order; for each it draws the
     chunk's normals itself and sweeps every slice with m_start < m_end in
@@ -273,7 +284,7 @@ def _sweep_slices(
                 outside += out
         return outside
 
-    blocks = _node_blocks(x_nodes.size, mc.threads)
+    blocks = _node_blocks(x_nodes.size, min(mc.threads, n_nodes * chunks[0][1] // _MIN_BLOCK))
     n_out = sum(_run_blocks(run_block, blocks)) if swept else 0
     mean[swept] = sums[0] / n
     var = np.maximum(sums[1] - n * mean[swept] * mean[swept], 0.0) / (n - 1.0)

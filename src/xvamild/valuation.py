@@ -19,7 +19,7 @@ import numpy as np
 
 from .defaultclock import DefaultSpec, SurvivalCurve, _trapezoid_cumsum, survival_curve
 from .gridfn import CoverageError
-from .simulate import TimeGrid, simulate_paths
+from .simulate import TimeGrid, _check_path_budget, _finite_rows, _path_chunks
 from .special import DomainError, gamma_hazard_factor
 from .volmodel import InvariantError, TimeFn, VolModel, as_time_fn, on_times
 
@@ -347,8 +347,12 @@ def martingale_residual(
     checkpoints against zero at three standard errors.  Returns one
     MartingaleReport per field, in order.  The checkpoints must be distinct
     grid nodes.  Raises CoverageError when more than 1% of the states
-    visited by a field fall outside its hull.
+    visited by a field fall outside its hull, and InvalidPathBudgetError
+    as ``simulate_paths`` does.  The paths are walked chunk by chunk and
+    only each path's checkpoint values are kept, so no full path table is
+    held.
     """
+    fields = tuple(fields)  # walked once per chunk
     checkpoints = np.asarray(sorted(float(c) for c in checkpoints))
     nodes = grid.nodes
     idx = []
@@ -362,10 +366,7 @@ def martingale_residual(
     if len(idx) < 2:
         raise InvariantError("need at least two checkpoints")
 
-    paths = simulate_paths(model, start, grid, n_paths, seed)
-    x = paths.valid_x()
-    v = paths.valid_v()
-    n = x.shape[0]
+    chunks = _path_chunks(model, start, grid, n_paths, seed)  # validates first
     if spec.defaults is not None:
         curve = survival_curve(spec.defaults, grid)
     else:
@@ -373,11 +374,13 @@ def martingale_residual(
     g_joint = curve.joint
     disc = discount_nodes(spec.fn("rate"), nodes)
     rates = np.stack(_driver_rates(spec, nodes))
-    reports = []
-    for u in fields:
+
+    def checkpoint_values(u, x, v):
+        # M at each checkpoint along the rows of x and v, and the visited
+        # states outside u's hull; every operation acts path by path
         outside = 0
-        m_at = np.empty((len(idx), n))
-        integral = np.zeros(n)
+        m_at = np.empty((len(idx), x.shape[0]))
+        integral = np.zeros(x.shape[0])
         prev_integrand = None
         pos = 0
         for k, t in enumerate(nodes):
@@ -391,8 +394,27 @@ def martingale_residual(
             if pos < len(idx) and k == idx[pos]:
                 m_at[pos] = disc[k] * u_k * g_joint[k] + integral
                 pos += 1
+        return m_at, outside
 
-        coverage = outside / (n * len(nodes)) if n else 0.0
+    parts = [[] for _ in fields]
+    outside = [0] * len(fields)
+    n_invalid = 0
+    for _, x, v in chunks:
+        ok = _finite_rows(x, v)
+        if not ok.all():
+            n_invalid += int((~ok).sum())
+            x, v = x[ok], v[ok]
+        for f, u in enumerate(fields):
+            m_part, out = checkpoint_values(u, x, v)
+            parts[f].append(m_part)
+            outside[f] += out
+        del x, v  # before the next chunk is simulated
+    _check_path_budget(n_invalid, n_paths)
+    n = n_paths - n_invalid
+    reports = []
+    for f_parts, f_outside in zip(parts, outside):
+        m_at = np.concatenate(f_parts, axis=1)
+        coverage = f_outside / (n * len(nodes)) if n else 0.0
         if coverage > 0.01:
             raise CoverageError(
                 f"{coverage:.2%} of visited states fell outside the value grid hull"

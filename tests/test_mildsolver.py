@@ -699,6 +699,35 @@ def multi_chunk_problem():
     return spec, model, u
 
 
+@pytest.fixture
+def block_counts(monkeypatch):
+    """The number of blocks each sweep hands ``_run_blocks``, in call order."""
+    counts = []
+    real = mildsolver._run_blocks
+
+    def run_blocks(fn, blocks):
+        counts.append(len(blocks))
+        return real(fn, blocks)
+
+    monkeypatch.setattr(mildsolver, "_run_blocks", run_blocks)
+    return counts
+
+
+@pytest.mark.parametrize("nx, nv, n_paths, threads, blocks", [
+    (9, 5, 3000, 2, 1),  # the book: 67 500 node·paths a block at two threads
+    (21, 7, 8000, 2, 2),  # the martingale check, first chunk 3401: 249 973 a block at two threads
+    (21, 7, 8000, 1, 1),
+    (21, 7, 8000, 8, 4),  # 499 947 node·paths carry at most four blocks
+])
+def test_sweep_takes_a_thread_only_for_a_block_big_enough_to_pay(block_counts, nx, nv, n_paths,
+                                                                 threads, blocks):
+    spec, model, _ = multi_chunk_problem()
+    x, v = np.linspace(X0 - 0.5, X0 + 0.5, nx), np.linspace(0.02, 0.2, nv)
+    mc = McConfig(n_paths=n_paths, n_steps=2, master_seed=4, threads=threads)
+    apply_mild_map(spec, model, None, [0.0, 0.5], x, v, mc)
+    assert block_counts == [blocks]
+
+
 def test_multi_chunk_sweeps_are_bit_identical_across_thread_counts():
     spec, model, u = multi_chunk_problem()
     n_nodes = len(u.x_nodes) * len(u.v_nodes)
@@ -797,7 +826,8 @@ def test_run_blocks_raises_an_exception_from_any_block(failing):
         mildsolver._run_blocks(fn, [(0, 1), (1, 2), (2, 3)])
 
 
-def test_single_chunk_sweeps_are_bit_identical_across_thread_counts():
+def test_single_chunk_sweeps_are_bit_identical_across_thread_counts(monkeypatch, block_counts):
+    monkeypatch.setattr(mildsolver, "_MIN_BLOCK", 1)  # split these small sweeps as far as threads go
     spec, model, u = multi_chunk_problem()
     x = np.linspace(X0 - 0.3, X0 + 0.3, 7)
     v = np.linspace(0.02, 0.2, 5)
@@ -806,9 +836,11 @@ def test_single_chunk_sweeps_are_bit_identical_across_thread_counts():
     runs = []
     for threads in (1, 2, 3, 8):  # 8 threads: more than the 7 x rows, so one block per row
         mc_t = replace(mc, threads=threads)
+        block_counts.clear()
         swept, err, cov = apply_mild_map(spec, model, u, u.t_nodes, x, v, mc_t)
         terminal, err0, _ = apply_mild_map(spec, model, None, u.t_nodes, x, v, mc_t)
         solved = picard_solve(spec, model, u.t_nodes, x, v, mc_t, tol=1e-9, max_sweeps=3)
+        assert set(block_counts) == {min(threads, len(x))}
         refined = refine_point(spec, model, u, (0.0, X0, 0.04), mc_t, 4000)
         runs.append((swept.values, err, cov, terminal.values, err0, solved.u.values,
                      solved.sup_diffs, refined))
@@ -827,7 +859,7 @@ def test_single_chunk_sweeps_are_bit_identical_across_thread_counts():
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_node_blocked_sweep_matches_single_node_sweeps(threads):
+def test_node_blocked_sweep_matches_single_node_sweeps(threads, monkeypatch, block_counts):
     # one node is one block at any thread count and gets the same chunk, so the
     # same stream: the single-node sweeps are a reference independent of blocking
     spec, model, u = multi_chunk_problem()
@@ -836,12 +868,13 @@ def test_node_blocked_sweep_matches_single_node_sweeps(threads):
     n_nodes = x.size * v.size
     mc = McConfig(n_paths=1500, n_steps=6, master_seed=4, threads=threads)
     assert mc.n_paths <= min(_CHUNK, _STATE_BUDGET // n_nodes)  # one chunk
-    assert len(_node_blocks(x.size, threads)) == threads  # a block per thread: 3 at threads=3
+    monkeypatch.setattr(mildsolver, "_MIN_BLOCK", 1)  # a block per thread: 3 at threads=3
     master = TimeGrid(0.0, 0.5, mc.n_steps)
     starts = [0, 2, 4, 6]
     for u_prev in (u, None):
         mean, err, cov = _sweep_slices(spec, model, u_prev, master, starts, 6, x, v,
                                        spec.payoff, mc, 0)
+        assert block_counts[-1] == threads
         n_out = 0.0
         for j in range(n_nodes):
             i, k = divmod(j, v.size)
@@ -854,7 +887,7 @@ def test_node_blocked_sweep_matches_single_node_sweeps(threads):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_sweep_steps_the_variance_once_per_v_node(threads):
+def test_sweep_steps_the_variance_once_per_v_node(threads, monkeypatch, block_counts):
     # V is autonomous, so every x row of a v column rides the same V path: the
     # coefficients see (nv, paths) planes, never planes over the x rows
     spec, model, u = multi_chunk_problem()
@@ -869,15 +902,18 @@ def test_sweep_steps_the_variance_once_per_v_node(threads):
     x = np.linspace(X0 - 0.3, X0 + 0.3, 7)
     v = np.linspace(0.02, 0.2, 5)
     mc = McConfig(n_paths=1500, n_steps=6, master_seed=4, threads=threads)
+    monkeypatch.setattr(mildsolver, "_MIN_BLOCK", 1)  # a block per thread
     for u_prev in (u, None):
         shapes.clear()
+        block_counts.clear()
         apply_mild_map(spec, model, u_prev, u.t_nodes, x, v, mc)
+        assert block_counts == [threads]
         assert shapes
         assert all(len(shape) == 2 and shape[0] == v.size for shape in shapes), set(shapes)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_sweep_gathers_x_rows_on_one_shift_plane(threads, monkeypatch):
+def test_sweep_gathers_x_rows_on_one_shift_plane(threads, monkeypatch, block_counts):
     # X - x does not depend on x, so rows on u_prev's x nodes hand the gather one
     # (nv, paths) shift plane and their node indices, never a plane over the rows
     spec, model, u = multi_chunk_problem()
@@ -891,7 +927,9 @@ def test_sweep_gathers_x_rows_on_one_shift_plane(threads, monkeypatch):
     x, v = u.x_nodes[7:14], np.linspace(0.02, 0.2, 5)
     mc = McConfig(n_paths=1500, n_steps=6, master_seed=4, threads=threads)
     monkeypatch.setattr(GridFunction, "evaluate_at_time", recorded)
+    monkeypatch.setattr(mildsolver, "_MIN_BLOCK", 1)  # a block per thread
     apply_mild_map(spec, model, u, u.t_nodes, x, v, mc)
+    assert block_counts == [threads]
     assert calls
     assert all(shape == (v.size, mc.n_paths) for shape, _ in calls), {s for s, _ in calls}
     blocks = {tuple(rows) for _, rows in calls}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from xvamild.defaultclock import DefaultSpec, PartyDefault, survival_curve
 from xvamild.gridfn import CoverageError, GridFunction
 from xvamild.mildsolver import McConfig, _interval_budgets, apply_mild_map
 from xvamild import valuation
-from xvamild.simulate import TimeGrid
+from xvamild.simulate import _CHUNK, InvalidPathBudgetError, TimeGrid, simulate_paths
 from xvamild.special import (
     DomainError,
     GammaParams,
@@ -38,6 +39,7 @@ from xvamild.valuation import (
 from xvamild.volmodel import (
     InvariantError,
     PowerParams,
+    VolModel,
     as_time_fn,
     black_scholes_params,
     build_power_model,
@@ -414,18 +416,117 @@ def test_martingale_residual_reports_each_field_as_its_own_call(monkeypatch):
     args = ((x0, 0.04), [0.0, 0.25, 0.5], 500, 94, TimeGrid(0.0, 0.5, 50))
     alone = [martingale_residual(riskfree_spec(r), model, [u], *args)[0] for u in fields]
     simulated = []
-    simulate = valuation.simulate_paths
+    simulate = valuation._path_chunks
 
     def counted(*a, **k):
         simulated.append(a)
         return simulate(*a, **k)
 
-    monkeypatch.setattr(valuation, "simulate_paths", counted)
+    monkeypatch.setattr(valuation, "_path_chunks", counted)
     together = martingale_residual(riskfree_spec(r), model, fields, *args)
     assert len(simulated) == 1 and len(together) == 2
     for got, want in zip(together, alone):
         for field in dataclasses.fields(want):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def test_martingale_residual_matches_the_full_table_formula_bit_for_bit():
+    # 2 * _CHUNK + 3 paths: the last chunk holds three rows.  V is a
+    # Brownian motion and theta turns infinite above the fourth-highest
+    # step-start level of V, so exactly three rows of X go non-finite and
+    # the residual must drop the rows the full tables mark invalid.
+    n_paths, seed = 2 * _CHUNK + 3, 13
+    grid = TimeGrid(0.0, 0.5, 16)
+    x0 = math.log(100.0)
+    start = (x0, 0.04)
+    walk = VolModel(
+        drift_b=lambda t: 0.02,
+        coefficients=lambda t, v, work=None: (0.2, 0.0, 0.3),
+        correlation=lambda t: -0.5,
+    )
+    level = np.sort(simulate_paths(walk, start, grid, n_paths, seed).v[:, :-1].max(axis=1))[-4]
+    model = dataclasses.replace(walk, coefficients=lambda t, v, work=None: (
+        np.where(v > level, np.inf, 0.2), 0.0, 0.3))
+    paths = simulate_paths(model, start, grid, n_paths, seed)
+    assert paths.n_invalid == 3
+
+    spec = MarketSpec(
+        rate=0.03, funding_rate_pos=0.05, funding_rate_neg=0.02, collateral_frac=0.5,
+        lgd_investor=0.6, lgd_counterparty=0.4,
+        defaults=DefaultSpec(
+            investor=PartyDefault(0.1, GammaParams(1.0, 1.0)),
+            counterparty=PartyDefault(0.2, GammaParams(1.5, 1.0)),
+        ),
+    )
+    t_nodes = np.array([0.0, 0.25, 0.5])
+    x_nodes = np.linspace(x0 - 1.0, x0 + 1.0, 41)
+    v_nodes = np.linspace(-0.5, 0.6, 9)  # a few of V's paths leave it
+    tt, xx, vv = np.meshgrid(t_nodes, x_nodes, v_nodes, indexing="ij")
+    fields = [GridFunction(t_nodes, x_nodes, v_nodes, np.cos(3.0 * xx) + vv * vv - tt),
+              GridFunction(t_nodes, x_nodes, v_nodes, np.exp(xx - x0) * (1.0 + vv))]
+    checkpoints = [0.125, 0.25, 0.5]
+    got = martingale_residual(spec, model, fields, start, checkpoints, n_paths, seed, grid)
+
+    x, v, nodes = paths.valid_x(), paths.valid_v(), grid.nodes
+    n = x.shape[0]
+    g_joint = survival_curve(spec.defaults, grid).joint
+    disc = discount_nodes(spec.fn("rate"), nodes)
+    rates = np.stack(_driver_rates(spec, nodes))
+    idx = [4, 8, 16]
+    for u, report in zip(fields, got, strict=True):
+        m_at = np.empty((len(idx), n))
+        integral = np.zeros(n)
+        prev = None
+        outside = 0
+        for k, t in enumerate(nodes):
+            u_k = np.asarray(u.evaluate_at_time(t, x[:, k], v[:, k]), dtype=float)
+            outside += int(np.count_nonzero(u.outside(x[:, k], v[:, k])))
+            state = (np.exp(x[:, k]), v[:, k], u_k)
+            integrand = disc[k] * _a_increment(spec, g_joint[k], rates[:, k], t, state)
+            if prev is not None:
+                integral = integral + 0.5 * (prev + integrand) * grid.dt
+            prev = integrand
+            if k in idx:
+                m_at[idx.index(k)] = disc[k] * u_k * g_joint[k] + integral
+        dm = np.diff(m_at, axis=0)
+        assert report.n_paths == n == n_paths - 3
+        assert report.means.tobytes() == dm.mean(axis=1).tobytes()
+        assert report.stderrs.tobytes() == (dm.std(axis=1, ddof=1) / math.sqrt(n)).tobytes()
+        assert report.coverage_fraction == outside / (n * len(nodes))
+    assert got[0].coverage_fraction > 0.0  # the hull is crossed, so the count is tested
+
+
+def test_martingale_residual_holds_no_full_path_tables():
+    # verify's call on 3 * _CHUNK paths: two full (n_paths, 65) float tables
+    # would take 12.8 MB; the residual keeps one chunk's tables, its noise
+    # block and a few values per path at a time
+    model = measure_change(build_power_model(black_scholes_params()), 0.03, 0.0)
+    x0 = math.log(100.0)
+    fields = [stock_value_grid(x0, 2.0, np.exp), stock_value_grid(x0, 2.0, np.cos)]
+    n_paths = 3 * _CHUNK
+    tracemalloc.start()
+    try:
+        martingale_residual(riskfree_spec(0.03), model, fields, (x0, 0.04),
+                            [0.0, 0.125, 0.25, 0.5], n_paths, 95, TimeGrid(0.0, 0.5, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_paths * 65 * 8, peak / (n_paths * 65 * 8)
+
+
+def test_martingale_residual_enforces_the_invalid_path_budget():
+    model = VolModel(
+        drift_b=lambda t: 0.0,
+        coefficients=lambda t, v, work=None: (1e200, 0.0, 0.0),
+        correlation=lambda t: 0.0,
+    )
+    grid = TimeGrid(0.0, 1.0, 5)
+    u = stock_value_grid(0.0, 0.9, np.exp)
+    with pytest.raises(InvalidPathBudgetError) as sim:
+        simulate_paths(model, (0.0, 0.04), grid, 100, master_seed=2)
+    with pytest.raises(InvalidPathBudgetError) as mart:
+        martingale_residual(riskfree_spec(0.0), model, [u], (0.0, 0.04), [0.0, 1.0], 100, 2, grid)
+    assert (mart.value.n_invalid, mart.value.n_paths) == (sim.value.n_invalid, 100)
 
 
 def test_martingale_residual_coverage_alarm():
