@@ -246,11 +246,13 @@ def cmd_solve(args, setup, threads, out) -> int:
         f"{max(len(rep.slab_bounds) - 1, 1)} slab(s); "
         f"u(t0, s0, v0) = {here:.6g}; wrote {args.out}"
     )
-    if args.fresh_check and rep.fresh_ok is False:
-        print(
-            f"fresh-seed validation gap {rep.fresh_gap:.3e} exceeded its limit",
-            file=sys.stderr,
-        )
+    return _verdict(rep)
+
+
+def _verdict(rep) -> int:
+    """Exit code of a solve: 1 when its fresh-seed check failed or it did not converge."""
+    if rep.fresh_ok is False:  # None when --fresh-check was not asked for
+        print(f"fresh-seed validation gap {rep.fresh_gap:.3e} exceeded its limit", file=sys.stderr)
         return 1
     return 0 if rep.converged else 1
 
@@ -277,7 +279,7 @@ def cmd_price(args, setup, threads, out) -> int:
         f"value at (t={setup.t0}, s0={setup.s0}, v0={setup.v0}): "
         f"{value:.6g} (stderr {stderr:.2g}, grid {grid_value:.6g}); wrote {args.out}"
     )
-    return 0 if rep.converged else 1
+    return _verdict(rep)
 
 
 def cmd_verify(args, setup, threads, out) -> int:
@@ -336,19 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dfl.set_defaults(fn=cmd_defaults)
 
-    slv = subs.add_parser("solve", help="solve the value grid")
-    _add_common(slv)
-    slv.add_argument(
-        "--fresh-check", action="store_true",
-        help="re-apply the final map with independent streams and compare",
-    )
-    slv.set_defaults(fn=cmd_solve)
-
-    prc = subs.add_parser("price", help="solve, then refine the start-point value")
-    _add_common(prc)
-    prc.add_argument("--fresh-check", action="store_true",
-                     help="re-apply the final map with independent streams and compare")
-    prc.set_defaults(fn=cmd_price)
+    for name, fn, text in (("solve", cmd_solve, "solve the value grid"),
+                           ("price", cmd_price, "solve, then refine the start-point value")):
+        sub = subs.add_parser(name, help=text)
+        _add_common(sub)
+        sub.add_argument(
+            "--fresh-check", action="store_true",
+            help="re-apply the final map with independent streams and compare",
+        )
+        sub.set_defaults(fn=fn)
 
     ver = subs.add_parser("verify", help="run desk-scale verification checks")
     _add_common(ver)

@@ -11,7 +11,8 @@ after another on the calling thread: that per-path reseeding holds the
 interpreter lock, so worker threads would buy almost nothing.
 ``simulate_paths`` gathers the chunks into full path tables; a consumer
 that needs only one number per path (the linear oracle) walks the same
-chunks with ``_path_chunks`` and keeps no tables.
+chunks with ``_path_chunks`` and keeps no tables.  A chunk's normals share
+the buffer of its path tables, so it holds no noise block beside them.
 Coefficients are evaluated through the model's own full-line extension,
 so no state truncation happens here: a variance excursion below zero is
 handled by the coefficients, not the stepper.
@@ -241,25 +242,27 @@ def _check_path_budget(n_invalid: int, n_paths: int) -> None:
 def _simulate_chunk(model: VolModel, table, grid: TimeGrid, start, master_seed: int,
                     lo: int, n_c: int):
     """Paths lo .. lo + n_c - 1 as (lo, x, v), x and v of shape
-    (n_c, n_steps + 1); the noise block is freed on return."""
+    (n_c, n_steps + 1): strided views of one (n_c, n_steps + 1, 2) table.
+
+    The noise shares that table: node k + 1 holds step k's two normals until
+    the step reads them and overwrites them with its (x, v).
+    """
     nodes = grid.nodes
     dt = grid.dt
-    z = np.empty((n_c, grid.n_steps, 2))
-    _fill_noise(z, master_seed, lo)
-    z *= math.sqrt(dt)
-    xs = np.empty((n_c, grid.n_steps + 1))
-    vs = np.empty((n_c, grid.n_steps + 1))
+    xv = np.empty((n_c, grid.n_steps + 1, 2))
+    noise = xv[:, 1:]
+    _fill_noise(noise, master_seed, lo)
+    noise *= math.sqrt(dt)
     x = np.full(n_c, start[0])
     v = np.full(n_c, start[1])
     work = np.empty((WORK_PLANES, n_c))
-    xs[:, 0] = x
-    vs[:, 0] = v
+    xv[:, 0] = start
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.n_steps):
-            _euler_step(model, table, k, nodes[k], x, v, dt, z[:, k, 0], z[:, k, 1], work)
-            xs[:, k + 1] = x
-            vs[:, k + 1] = v
-    return lo, xs, vs
+            _euler_step(model, table, k, nodes[k], x, v, dt, xv[:, k + 1, 0], xv[:, k + 1, 1], work)
+            xv[:, k + 1, 0] = x
+            xv[:, k + 1, 1] = v
+    return lo, xv[..., 0], xv[..., 1]
 
 
 def _path_chunks(model: VolModel, start, grid: TimeGrid, n_paths: int, master_seed: int):

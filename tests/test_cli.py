@@ -1,5 +1,6 @@
 """Config loading, CLI subcommands, exit codes, and run manifests."""
 
+import ast
 import copy
 import dataclasses
 import json
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from xvamild import config, verify
+from xvamild import cli, config, verify
 from xvamild.cli import main
 from xvamild.config import (
     ConfigError,
@@ -31,6 +32,7 @@ from xvamild.defaultclock import (
     sample_default_times,
     survival_curve,
 )
+from xvamild.gridfn import CoverageError
 from xvamild.mildsolver import PicardReport, linear_oracle
 from xvamild.simulate import TimeGrid
 from xvamild.valuation import constant_dividend
@@ -993,12 +995,6 @@ def test_solve_rerun_reproduces_value_digest(tmp_path):
             == manifest_outputs(tmp_path / "b")["value_grid.csv"])
 
 
-# -- verify -------------------------------------------------------------------------
-
-
-# -- start-up -----------------------------------------------------------------------
-
-
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -1007,6 +1003,98 @@ def tiny_book():
     cfg["grid"].update(n_steps=8, nt=3, nx=5, nv=3)
     cfg["mc"]["n_paths"] = 400
     return cfg
+
+
+# -- fresh-seed check ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["solve", "price"])
+def test_a_failed_fresh_seed_check_exits_1(tmp_path, monkeypatch, capsys, command):
+    reps = []
+    solve = cli.picard_solve
+
+    def failing_fresh_check(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        rep.fresh_ok = False
+        reps.append(rep)
+        return rep
+
+    monkeypatch.setattr(cli, "picard_solve", failing_fresh_check)
+    code = main([command, "--config", write_cfg(tmp_path, tiny_book()), "--out",
+                 str(tmp_path / "o"), "--threads", "1", "--fresh-check"])
+    assert reps[0].converged  # so the exit code is the fresh check's
+    assert code == 1
+    assert "fresh-seed validation gap" in capsys.readouterr().err
+
+
+# -- verify -------------------------------------------------------------------------
+
+
+def benchmark_verify_checks():
+    """VERIFY_CHECKS of perfbench/run.py, which fails a verify run whose check
+    names differ; the file is only read here, never imported."""
+    tree = ast.parse((REPO / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    return next(
+        ast.literal_eval(n.value) for n in tree.body
+        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "VERIFY_CHECKS"
+    )
+
+
+def verify_results(out):
+    return json.loads((out / "verify.json").read_text())
+
+
+def test_verify_runs_the_benchmarks_checks_in_order_then_the_comparison(tmp_path):
+    richer = tiny_book()
+    richer["market"]["dividend"] = {"kind": "constant", "value": 0.01}
+    out = tmp_path / "o"
+    main(["verify", "--config", write_cfg(tmp_path, tiny_book()),
+          "--compare", write_cfg(tmp_path, richer, "hi.json"), "--out", str(out), "--threads", "1"])
+    names = [r["name"] for r in verify_results(out)]
+    assert names == [*benchmark_verify_checks(), "comparison_domination"]
+
+
+def test_verify_turns_a_crashed_check_into_a_fail(tmp_path, monkeypatch, capsys):
+    # variance_positivity loses state coverage, and the martingale check
+    # crashes before its solve, so the bound check has no field to read
+    def lost_coverage(*args, **kwargs):
+        raise CoverageError("no nodes near v = 0")
+
+    def no_axes(setup):
+        raise RuntimeError("axes unavailable")
+
+    monkeypatch.setattr(verify, "check_positivity", lost_coverage)
+    monkeypatch.setattr(verify, "resolve_axes", no_axes)
+    out = tmp_path / "o"
+    code = main(["verify", "--config", write_cfg(tmp_path, tiny_book()), "--out", str(out),
+                 "--threads", "1"])
+    assert code == 1
+    results = verify_results(out)
+    assert [r["name"] for r in results] == list(benchmark_verify_checks())
+    failed = {r["name"]: r["detail"] for r in results if not r["ok"]}
+    assert failed == {
+        "variance_positivity": "state coverage failed: no nodes near v = 0",
+        "martingale_residual": "RuntimeError: axes unavailable",
+        "value_bounds": "no solved field available (martingale check crashed)",
+    }
+    assert "[FAIL] value_bounds" in capsys.readouterr().out
+
+
+def test_verify_bounds_the_martingale_solve_when_its_residual_crashes(tmp_path, monkeypatch):
+    def crashed(*args, **kwargs):
+        raise ValueError("residual unavailable")
+
+    monkeypatch.setattr(verify, "martingale_residual", crashed)
+    out = tmp_path / "o"
+    main(["verify", "--config", write_cfg(tmp_path, tiny_book()), "--out", str(out),
+          "--threads", "1"])
+    results = {r["name"]: r for r in verify_results(out)}
+    assert results["martingale_residual"]["detail"] == "ValueError: residual unavailable"
+    assert results["value_bounds"]["ok"]
+    assert results["value_bounds"]["detail"].startswith("u range [")
+
+
+# -- start-up -----------------------------------------------------------------------
 
 
 def fresh_python(code: str) -> str:

@@ -1,12 +1,14 @@
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from xvamild.config import _DIVIDENDS, _HEDGES, build_run, normalise_config
+from xvamild.config import _DIVIDENDS, _HEDGES, build_run, normalise_config, resolve_axes
 from xvamild.defaultclock import DefaultSpec, PartyDefault, survival_curve
 from xvamild.gridfn import CoverageError, GridFunction
 from xvamild.mildsolver import McConfig, _interval_budgets, apply_mild_map
@@ -497,9 +499,9 @@ def test_martingale_residual_matches_the_full_table_formula_bit_for_bit():
 
 
 def test_martingale_residual_holds_no_full_path_tables():
-    # verify's call on 3 * _CHUNK paths: two full (n_paths, 65) float tables
-    # would take 12.8 MB; the residual keeps one chunk's tables, its noise
-    # block and a few values per path at a time
+    # 3 * _CHUNK paths: two full (n_paths, 65) float tables would take
+    # 12.8 MB; the residual keeps one chunk's tables (which hold its noise
+    # too) and a few values per path at a time
     model = measure_change(build_power_model(black_scholes_params()), 0.03, 0.0)
     x0 = math.log(100.0)
     fields = [stock_value_grid(x0, 2.0, np.exp), stock_value_grid(x0, 2.0, np.cos)]
@@ -512,6 +514,32 @@ def test_martingale_residual_holds_no_full_path_tables():
     finally:
         tracemalloc.stop()
     assert peak < 2 * n_paths * 65 * 8, peak / (n_paths * 65 * 8)
+
+
+def test_martingale_residual_of_verify_holds_less_than_its_full_tables():
+    # verify's call on the book at seed 3: 8000 fresh paths, under two
+    # chunks, of 65 nodes and two fields.  Two full (8000, 65) float tables
+    # take 8.32 MB, so a chunk must hold its noise inside its own tables.
+    # The peak comes from the path tables, so a cheap field on the pilot
+    # hull's axes stands in for the solve: the paths stay inside that hull.
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "book.json").read_text())
+    cfg["mc"]["master_seed"] = 3
+    setup = build_run(normalise_config(cfg))
+    _, x_nodes, v_nodes = resolve_axes(setup)
+    t_nodes = np.linspace(setup.t0, setup.t_end, 9)
+    tt, xx, vv = np.meshgrid(t_nodes, x_nodes, v_nodes, indexing="ij")
+    fields = [GridFunction(t_nodes, x_nodes, v_nodes, np.exp(xx) * (1.0 + vv) - tt),
+              GridFunction(t_nodes, x_nodes, v_nodes, np.ones_like(xx))]
+    n_paths = 8000
+    tracemalloc.start()
+    try:
+        martingale_residual(setup.spec, setup.model_q, fields, (math.log(setup.s0), setup.v0),
+                            t_nodes[1:], n_paths, setup.master_seed + 7919,
+                            TimeGrid(setup.t0, setup.t_end, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_paths * 65 * 8, peak / 1e6
 
 
 def test_martingale_residual_enforces_the_invalid_path_budget():
