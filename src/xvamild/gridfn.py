@@ -139,9 +139,9 @@ class GridFunction:
         at = [0] if rows is None else [int(j) for j in rows]
         ox, ov = 1.0 - wx, 1.0 - wv
         low, high, part = np.empty((3,) + corner.shape)
-        shape = np.broadcast_shapes(np.shape(x), np.shape(v))
-        shape = shape if rows is None else (len(at),) + shape
-        out = np.empty(shape) if out is None else out
+        if out is None:
+            shape = np.broadcast_shapes(np.shape(x), np.shape(v))
+            out = np.empty(shape if rows is None else (len(at),) + shape)
         res = out.reshape((len(at),) + corner.shape)  # a view, out being C-contiguous
         held = None  # the x row whose v-lerp ``high`` holds
         for r, j in enumerate(at):

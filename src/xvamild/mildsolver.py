@@ -25,7 +25,8 @@ row reads its start node plus that shift, and when the rows are nodes of
 the iterate the gather finds the shift's cells once for all of them.
 A sweep cuts the x rows into blocks: one per thread, but no more than
 carry ``_MIN_BLOCK`` node·paths of its first chunk each, and one per row
-when rows are fewer, so a small sweep is one block at any thread count.
+when rows are fewer, so a small sweep is one block at any thread count,
+and so is a terminal sweep, which steps only the (v node, path) planes.
 ``_run_blocks`` runs block 0 on the calling thread and every other block
 on a thread of its own; the sweep is the only code in the package that
 starts threads.  A block draws each chunk's normals itself and
@@ -60,6 +61,7 @@ from .simulate import (
     _step_table,
     simulate_paths,
 )
+from .special import DomainError
 from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lipschitz
 from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
@@ -135,6 +137,17 @@ def _run_blocks(fn, blocks) -> list:
     return [first] + [future.result() for future in rest]
 
 
+def _check_shift_prices(x_lo, x_hi, d: np.ndarray) -> None:
+    """Raise DomainError unless exp(x + d) is positive and finite for every row
+    start x in [x_lo, x_hi] and every shift d of the plane: fl(x + d) is
+    monotone in both, so the plane's extremes give the verdict that a check
+    of every row's price would give.  A NaN in d fails."""
+    with np.errstate(over="ignore", under="ignore"):
+        ok = np.exp(x_lo + d.min()) > 0.0 and np.exp(x_hi + d.max()) < math.inf
+    if not ok:
+        raise DomainError("price s must be positive and finite")
+
+
 def _sweep_slices(
     spec: MarketSpec,
     model: VolModel,
@@ -163,14 +176,15 @@ def _sweep_slices(
     so step k consumes the same numbers no matter where the slice begins.
 
     The sweep's work is x nodes x v nodes x the first chunk's paths, and
-    it takes min(threads, work // _MIN_BLOCK) blocks, at least one:
-    ``_node_blocks`` cuts the x rows into that many, one per row when rows
-    are fewer, and ``_run_blocks`` runs each block on its own thread.  A
-    smaller block would spend more re-drawing the normals and re-stepping
+    a driver sweep takes min(threads, work // _MIN_BLOCK) blocks, at least
+    one: ``_node_blocks`` cuts the x rows into that many, one per row when
+    rows are fewer, and ``_run_blocks`` runs each block on its own thread.
+    A smaller block would spend more re-drawing the normals and re-stepping
     the planes than a thread saves, so a small sweep runs on the calling
-    thread alone.  A block allocates its arrays once, sized for the first
-    (largest) chunk, and each chunk takes C-contiguous views of their
-    fronts.  A block walks the chunks in order; for each it draws the
+    thread alone.  A terminal sweep (no u_prev) steps only the planes, so
+    it is one block at any thread count.  A block allocates its arrays
+    once, sized for the first (largest) chunk, and each chunk takes
+    C-contiguous views of their fronts.  A block walks the chunks in order; for each it draws the
     chunk's normals itself and sweeps every slice with m_start < m_end in
     order through the same arrays.  The Euler step moves v, its work
     planes and the log-price shift d, all (nv, paths), so V and its
@@ -181,14 +195,20 @@ def _sweep_slices(
     row is a node of u_prev, the gather gets d and the rows' node indices,
     so it finds its cells once per (v node, path); otherwise it reads the
     full x before s overwrites it.  The gather writes u_prev into y.  The
-    driver writes its rate over the spent price s and uses the spent y as
-    its work.  The driver integral is a running sum of the rates, end
-    points halved, times dt once per slice; at the slice end the payoff
-    reads s, and the sum of squares goes into the spent y.  Each node's sums
-    reduce along its own paths and are added, chunk after chunk, into the
-    block's own columns of one (2, slices, nodes) array; blocks own
-    disjoint columns, so they need no lock and no merge, and every node
-    gets, slice by slice, the same bits at any thread count.
+    price is checked after the gather and before s is formed, on the
+    shift plane alone (``_check_shift_prices``), which gives the verdict of a
+    check of every row's price.  The driver writes its rate over the spent
+    price s and uses the spent y as its work; when u_prev has no negative
+    value, every gathered y is non-negative and the driver takes its
+    affine branch base + y m+, while the slice-end call, whose y is the
+    payoff, takes the two-slope form.  The driver integral is a running
+    sum of the rates, end points halved, times dt once per slice; at the
+    slice end the payoff reads s, and the sum of squares goes into the
+    spent y.  Each node's sums reduce along its own paths and are added,
+    chunk after chunk, into the block's own columns of one (2, slices,
+    nodes) array; blocks own disjoint columns, so they need no lock and no
+    merge, and every node gets, slice by slice, the same bits at any
+    thread count.
     """
     nodes = master.nodes
     dt = master.dt
@@ -210,6 +230,8 @@ def _sweep_slices(
     at = None  # the x rows as node indices of u_prev, when every row is a node
     if u_prev is not None and np.isin(x_nodes, u_prev.x_nodes).all():
         at = np.searchsorted(u_prev.x_nodes, x_nodes).tolist()
+    # a gather from a non-negative iterate is a convex combination of its values
+    y_nonneg = u_prev is not None and bool(u_prev.values.min() >= 0.0)
 
     def run_slice(m_start: int, z: np.ndarray, lo: int, hi: int, rows, planes):
         # rows: x (then s, then the driver's rate), the integral and y (the
@@ -217,6 +239,7 @@ def _sweep_slices(
         # the step's work; all reused
         (x, integral, y), (d, v), work = rows, planes[:2], planes[2:]
         starts_x = x_nodes[lo:hi, None, None]
+        x_lo, x_hi = x_nodes[lo:hi].min(), x_nodes[lo:hi].max()
         block_rows = None if at is None else at[lo:hi]
         query = x if at is None else d  # the gather reads the full x or the rows' shared shift
         d.fill(0.0)
@@ -230,8 +253,10 @@ def _sweep_slices(
                     np.add(starts_x, d, out=x)
                     outside += int(np.count_nonzero(u_prev.outside(x, v)))
                     u_prev.evaluate_at_time(t, query, v, rows=block_rows, out=y)
+                    _check_shift_prices(x_lo, x_hi, d)
                     s = np.exp(x, out=x)
-                    rate = _driver_at(spec, terms[:, k], t, s, v, y, out=s, work=y)
+                    rate = _driver_at(spec, terms[:, k], t, s, v, y, out=s, work=y,
+                                      y_nonneg=y_nonneg)
                     if k == m_start:
                         rate *= 0.5
                     integral += rate
@@ -240,6 +265,7 @@ def _sweep_slices(
         s = np.exp(x, out=x)
         est = terminal(s, v)
         if u_prev is not None:
+            _check_shift_prices(x_lo, x_hi, d)
             rate = _driver_at(spec, terms[:, m_end], nodes[m_end], s, v, est, out=s, work=y)
             rate *= 0.5
             integral += rate
@@ -284,7 +310,9 @@ def _sweep_slices(
                 outside += out
         return outside
 
-    blocks = _node_blocks(x_nodes.size, min(mc.threads, n_nodes * chunks[0][1] // _MIN_BLOCK))
+    # a terminal sweep's steps touch only the planes, which every block would re-step
+    threads = 1 if u_prev is None else min(mc.threads, n_nodes * chunks[0][1] // _MIN_BLOCK)
+    blocks = _node_blocks(x_nodes.size, threads)
     n_out = sum(_run_blocks(run_block, blocks)) if swept else 0
     mean[swept] = sums[0] / n
     var = np.maximum(sums[1] - n * mean[swept] * mean[swept], 0.0) / (n - 1.0)

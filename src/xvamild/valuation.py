@@ -219,7 +219,14 @@ def driver(spec: MarketSpec, t: float, s, v, y):
     small negative excursions under the full-line coefficient extension.
     Vectorised over broadcastable (s, v, y).
     """
+    _check_price(s)
     return _driver_at(spec, _driver_rates(spec, t), t, s, v, y)
+
+
+def _check_price(s) -> None:
+    s = np.asarray(s, dtype=float)
+    if s.size and not (s.min() > 0.0 and s.max() < math.inf):  # NaN fails too
+        raise DomainError("price s must be positive and finite")
 
 
 def _driver_slopes(spec: MarketSpec, terms) -> tuple:
@@ -232,33 +239,48 @@ def _driver_slopes(spec: MarketSpec, terms) -> tuple:
     return m_pos, k_neg - g_i * (1.0 - b + lgd_i * (b - a)) - g_c * (1.0 - b)
 
 
-def _driver_at(spec: MarketSpec, terms, t: float, s, v, y, out=None, work=None):
+def _driver_at(spec: MarketSpec, terms, t: float, s, v, y, out=None, work=None,
+               y_nonneg=False):
     """The driver formula at time t, given ``_driver_rates`` at t.
 
+    The price is not checked here: ``driver`` and ``_a_increment`` check
+    it, and the sweep checks its shift plane before it forms the price.
     The dividend and hedge terms keep their own shape (a scalar for the
     built-in dividends and the zero hedge); the result has the shape of s,
     y and the terms broadcast together.  ``out`` and ``work``, both of that
     shape, are optional buffers; the result is written into ``out``.  The
     hedge and dividend are read first, so ``out`` may be s itself and
-    ``work`` may be y itself; both are then overwritten.
+    ``work`` may be y itself; both are then overwritten.  ``y_nonneg``
+    promises y >= 0 (NaN aside), and the driver is then base + y m+.
     """
     s_arr = np.asarray(s, dtype=float)
-    if s_arr.size and not (s_arr.min() > 0.0 and s_arr.max() < math.inf):  # NaN fails too
-        raise DomainError("price s must be positive and finite")
     y_arr = np.asarray(y, dtype=float)
     m_pos, m_neg = _driver_slopes(spec, terms)
     hedge = np.asarray(spec.hedge(t, s_arr, v, y_arr), dtype=float)
     dividend = np.asarray(spec.dividend(t, s_arr, v), dtype=float)
-    # h- = -min(h, 0) and y- = -min(y, 0), so the minimum terms take negated factors
+    # h- = -min(h, 0), so the minimum term takes the negated factor
     base = dividend - np.maximum(hedge, 0.0) * terms[4] - np.minimum(hedge, 0.0) * terms[5]
-    shape = np.broadcast_shapes(s_arr.shape, y_arr.shape, np.shape(base), *map(np.shape, terms))
-    out = np.empty(shape) if out is None else out
-    work = np.empty(shape) if work is None else work
-    # (base + y+ m+) + y- m-, with y- m- written first: s is spent once base is
-    # built, and y once both parts are
-    np.multiply(np.minimum(y_arr, 0.0, out=out), -m_neg, out=out)
-    np.add(base, np.multiply(np.maximum(y_arr, 0.0, out=work), m_pos, out=work), out=work)
-    np.add(work, out, out=out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(s_arr.shape, y_arr.shape, np.shape(base),
+                                           *map(np.shape, terms)))
+    if y_nonneg:
+        np.multiply(y_arr, m_pos, out=out)
+    else:
+        work = np.empty(out.shape) if work is None else work
+        # y+ m+ + y- m- is y m+ for y >= 0 and y (-m-) below: one of y+ and y- is
+        # zero and rounding is monotone, so it is the larger of the two where
+        # the driver is convex in y (m+ >= -m-) and the smaller where concave.
+        # out (perhaps s) is written first, work (perhaps y) as y is last read
+        np.multiply(y_arr, -m_neg, out=out)
+        np.multiply(y_arr, m_pos, out=work)
+        convex = m_pos >= -m_neg
+        if np.all(convex):
+            np.maximum(work, out, out=out)
+        elif np.all(m_pos <= -m_neg):
+            np.minimum(work, out, out=out)
+        else:  # terms over times, convex at some and concave at others
+            np.copyto(out, np.where(convex, np.maximum(work, out), np.minimum(work, out)))
+    np.add(out, base, out=out)
     return out if out.shape else float(out)
 
 
@@ -308,6 +330,7 @@ def _a_increment(spec: MarketSpec, g: float, terms, t: float, state):
     s, v, y = state
     g_i, g_c, r = terms[6:]
     y_arr = np.asarray(y, dtype=float)
+    _check_price(s)
     out = g * (_driver_at(spec, terms, t, s, v, y) + (r - g_i - g_c) * y_arr)
     return out if out.shape else float(out)
 

@@ -152,10 +152,12 @@ def _oracle_solve(setup: RunSetup, spec: MarketSpec, width: float, nx: int,
     return picard_solve(spec, setup.model_q, _small_time_axis(setup), x_nodes, v_nodes, mc, tol=1e-4)
 
 
-def _small_grid(setup: RunSetup, max_pieces: int, nx: int, nv: int, n_paths: int, threads: int):
+def _small_grid(setup: RunSetup, axes, max_pieces: int, nx: int, nv: int, n_paths: int,
+                threads: int):
     """(t, x, v, mc) of a small solve: at most max_pieces time intervals, nx x nv
-    nodes over the configured axes, n_paths paths on steps the intervals divide."""
-    _, x_full, v_full = resolve_axes(setup)
+    nodes over the configured axes, which ``axes()`` returns, n_paths paths on
+    steps the intervals divide."""
+    _, x_full, v_full = axes()
     t_small = _small_time_axis(setup, max_pieces)
     pieces = len(t_small) - 1
     mc = McConfig(
@@ -198,7 +200,7 @@ def check_affine_oracle(setup: RunSetup, threads: int):
     return worst <= 0.0, f"worst probe excess over slack {worst:.2e}"
 
 
-def check_martingale(setup: RunSetup, threads: int, solved: list):
+def check_martingale(setup: RunSetup, axes, threads: int, solved: list):
     """Solve the configured problem small and test the compensated process.
 
     Appends the solved report to ``solved`` before the residual runs, so the
@@ -208,7 +210,7 @@ def check_martingale(setup: RunSetup, threads: int, solved: list):
     # dominates the residual on coarse value grids; the z score is
     # reproducible across fresh seeds until the x axis resolves it
     t_small, x_nodes, v_nodes, mc = _small_grid(
-        setup, 8, max(setup.nx, 21), min(max(setup.nv, 7), 9),
+        setup, axes, 8, max(setup.nx, 21), min(max(setup.nv, 7), 9),
         min(max(setup.n_paths, 8000), 12000), threads,
     )
     rep = picard_solve(
@@ -260,13 +262,13 @@ def check_value_bounds(setup: RunSetup, solved: list):
     return ok, f"u range [{u_min:.4g}, {u_max:.4g}] vs [{lo}, {hi}] +/- {band:.2e}"
 
 
-def check_comparison(setup: RunSetup, other: RunSetup, threads: int):
+def check_comparison(setup: RunSetup, other: RunSetup, axes, threads: int):
     """Shared-noise domination between this config (lo) and --compare (hi)."""
     for section in ("model", "grid", "mc"):
         if setup.cfg[section] != other.cfg[section]:
             return False, f"compare config must differ only in market/defaults ({section} differs)"
     t_small, x_nodes, v_nodes, mc = _small_grid(
-        setup, 4, min(setup.nx, 11), min(setup.nv, 5), min(setup.n_paths, 8000), threads,
+        setup, axes, 4, min(setup.nx, 11), min(setup.nv, 5), min(setup.n_paths, 8000), threads,
     )
     out = comparison_check(
         setup.spec, other.spec, setup.model_q, t_small, x_nodes, v_nodes, mc,
@@ -285,15 +287,18 @@ def run_verify(setup: RunSetup, threads: int, compare: RunSetup = None) -> list:
     for cfg in (setup,) if compare is None else (setup, compare):
         _slab_partition(cfg.spec, np.linspace(cfg.t0, cfg.t_end, cfg.nt))
     solved = []  # the martingale check's solve, which the bound check reads
+    # the configured axes, whose pilot hull is simulated once a run; a raise is
+    # not cached, so it FAILs each check that needs them
+    axes = cache(lambda: resolve_axes(setup))
     checks = [
         ("gamma_tail_quadrature", check_gamma_tail),
         ("default_clock_identity", check_default_clock, setup),
         ("variance_positivity", check_variance_positivity, setup),
         ("discount_bond", check_discount_bond, setup, threads),
         ("affine_oracle", check_affine_oracle, setup, threads),
-        ("martingale_residual", check_martingale, setup, threads, solved),
+        ("martingale_residual", check_martingale, setup, axes, threads, solved),
         ("value_bounds", check_value_bounds, setup, solved),
     ]
     if compare is not None:
-        checks.append(("comparison_domination", check_comparison, setup, compare, threads))
+        checks.append(("comparison_domination", check_comparison, setup, compare, axes, threads))
     return [_timed(*row) for row in checks]

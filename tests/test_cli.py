@@ -1054,6 +1054,29 @@ def test_verify_runs_the_benchmarks_checks_in_order_then_the_comparison(tmp_path
     assert names == [*benchmark_verify_checks(), "comparison_domination"]
 
 
+def test_verify_resolves_the_configured_axes_once_a_run(tmp_path, monkeypatch):
+    # the martingale and comparison checks both read the configured axes; the
+    # pilot hull behind them is simulated once
+    calls = []
+    real = verify.resolve_axes
+
+    def counted(setup):
+        calls.append(setup)
+        return real(setup)
+
+    monkeypatch.setattr(verify, "resolve_axes", counted)
+    richer = tiny_book()
+    richer["market"]["dividend"] = {"kind": "constant", "value": 0.01}
+    out = tmp_path / "o"
+    main(["verify", "--config", write_cfg(tmp_path, tiny_book()),
+          "--compare", write_cfg(tmp_path, richer, "hi.json"), "--out", str(out), "--threads", "1"])
+    results = {r["name"]: r for r in verify_results(out)}
+    # both checks ran on the axes to their verdicts
+    assert results["martingale_residual"]["detail"].startswith("max |z| ")
+    assert results["comparison_domination"]["detail"].startswith("min value gap ")
+    assert len(calls) == 1
+
+
 def test_verify_turns_a_crashed_check_into_a_fail(tmp_path, monkeypatch, capsys):
     # variance_positivity loses state coverage, and the martingale check
     # crashes before its solve, so the bound check has no field to read

@@ -721,11 +721,14 @@ def block_counts(monkeypatch):
 ])
 def test_sweep_takes_a_thread_only_for_a_block_big_enough_to_pay(block_counts, nx, nv, n_paths,
                                                                  threads, blocks):
-    spec, model, _ = multi_chunk_problem()
+    # a driver sweep; the terminal sweep after it steps only the planes, so it
+    # is one block at any thread count
+    spec, model, u = multi_chunk_problem()
     x, v = np.linspace(X0 - 0.5, X0 + 0.5, nx), np.linspace(0.02, 0.2, nv)
     mc = McConfig(n_paths=n_paths, n_steps=2, master_seed=4, threads=threads)
+    apply_mild_map(spec, model, u, [0.0, 0.5], x, v, mc)
     apply_mild_map(spec, model, None, [0.0, 0.5], x, v, mc)
-    assert block_counts == [blocks]
+    assert block_counts == [blocks, 1]
 
 
 def test_multi_chunk_sweeps_are_bit_identical_across_thread_counts():
@@ -840,7 +843,11 @@ def test_single_chunk_sweeps_are_bit_identical_across_thread_counts(monkeypatch,
         swept, err, cov = apply_mild_map(spec, model, u, u.t_nodes, x, v, mc_t)
         terminal, err0, _ = apply_mild_map(spec, model, None, u.t_nodes, x, v, mc_t)
         solved = picard_solve(spec, model, u.t_nodes, x, v, mc_t, tol=1e-9, max_sweeps=3)
-        assert set(block_counts) == {min(threads, len(x))}
+        # driver sweeps split as far as threads go; terminal sweeps, each slab's
+        # first, are one block
+        n = min(threads, len(x))
+        slabs = [[1] + [n] * k for k in reversed(solved.sweeps_per_slab)]
+        assert block_counts == [n, 1] + sum(slabs, [])
         refined = refine_point(spec, model, u, (0.0, X0, 0.04), mc_t, 4000)
         runs.append((swept.values, err, cov, terminal.values, err0, solved.u.values,
                      solved.sup_diffs, refined))
@@ -874,7 +881,7 @@ def test_node_blocked_sweep_matches_single_node_sweeps(threads, monkeypatch, blo
     for u_prev in (u, None):
         mean, err, cov = _sweep_slices(spec, model, u_prev, master, starts, 6, x, v,
                                        spec.payoff, mc, 0)
-        assert block_counts[-1] == threads
+        assert block_counts[-1] == (1 if u_prev is None else threads)  # a terminal sweep is one block
         n_out = 0.0
         for j in range(n_nodes):
             i, k = divmod(j, v.size)
@@ -907,7 +914,7 @@ def test_sweep_steps_the_variance_once_per_v_node(threads, monkeypatch, block_co
         shapes.clear()
         block_counts.clear()
         apply_mild_map(spec, model, u_prev, u.t_nodes, x, v, mc)
-        assert block_counts == [threads]
+        assert block_counts == [1 if u_prev is None else threads]  # a terminal sweep is one block
         assert shapes
         assert all(len(shape) == 2 and shape[0] == v.size for shape in shapes), set(shapes)
 

@@ -12,7 +12,7 @@ from xvamild.config import _DIVIDENDS, _HEDGES, build_run, normalise_config, res
 from xvamild.defaultclock import DefaultSpec, PartyDefault, survival_curve
 from xvamild.gridfn import CoverageError, GridFunction
 from xvamild.mildsolver import McConfig, _interval_budgets, apply_mild_map
-from xvamild import valuation
+from xvamild import mildsolver, valuation
 from xvamild.simulate import _CHUNK, InvalidPathBudgetError, TimeGrid, simulate_paths
 from xvamild.special import (
     DomainError,
@@ -889,16 +889,141 @@ def test_builtin_dividends_and_zero_hedge_are_scalars_the_driver_reads_bit_for_b
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_driver_rejects_each_bad_price_in_scalars_and_arrays(bad):
+    # driver and the A density check the price; the sweep checks its shift
+    # plane instead (test_sweep_price_check_on_the_shift_plane_...)
     spec = driver_spec("hedged")
     terms = _driver_rates(spec, 0.1)
     grid = np.full((2, 3), 100.0)
     grid[1, 2] = bad
     for s in (bad, np.array(bad), np.array([90.0, bad, 110.0]), grid):
         with pytest.raises(DomainError) as err:
-            _driver_at(spec, terms, 0.1, s, 0.04, np.ones((2, 3)))
+            _a_increment(spec, 0.9, terms, 0.1, (s, 0.04, np.ones((2, 3))))
         assert str(err.value) == "price s must be positive and finite"
         with pytest.raises(DomainError, match="price s must be positive and finite"):
             driver(spec, 0.1, s, 0.04, 1.0)
+
+
+LOG_MAX = math.log(np.finfo(float).max)  # 709.78: exp overflows above
+LOG_ZERO = -745.1332191019412  # exp rounds to zero near here
+
+
+def block_price_verdict(x_rows, d):
+    """The check the sweep made before: every row's price exp(x + d), formed over the block."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        s = np.exp(x_rows[:, None, None] + d)
+    return bool(s.min() > 0.0 and s.max() < math.inf)
+
+
+def plane_price_verdict(x_rows, d):
+    try:
+        mildsolver._check_shift_prices(x_rows.min(), x_rows.max(), d)
+    except DomainError as err:
+        assert str(err) == "price s must be positive and finite"
+        return False
+    return True
+
+
+def test_sweep_price_check_on_the_shift_plane_gives_the_block_verdict():
+    rng = np.random.default_rng(11)
+    x_rows = np.linspace(3.9, 5.3, 7)
+    planes = []
+    for edge, row in ((LOG_MAX, x_rows[-1]), (LOG_MAX, x_rows[0]), (LOG_ZERO, x_rows[0]),
+                      (LOG_ZERO, x_rows[-1])):
+        shift = edge - row
+        for k in range(-40, 41):  # shifts a few ulps either side of each edge
+            d = rng.normal(0.0, 0.3, (3, 16))
+            d[rng.integers(3), rng.integers(16)] = shift + k * 2.0 * np.spacing(shift)
+            planes.append(d)
+    for bad in (math.nan, math.inf, -math.inf, 800.0, -800.0, 700.0, -700.0):
+        d = rng.normal(0.0, 0.3, (3, 16))
+        d[1, 5] = bad
+        planes.append(d)
+    verdicts = [block_price_verdict(x_rows, d) for d in planes]
+    assert True in verdicts and False in verdicts
+    for d, want in zip(planes, verdicts):
+        assert plane_price_verdict(x_rows, d) == want
+        assert plane_price_verdict(x_rows[2:3], d) == block_price_verdict(x_rows[2:3], d)
+
+
+def six_pass_driver(spec, terms, t, s, v, y):
+    """The driver as the sweep formed it before the max/min form:
+    (base + y+ m+) + y- m-, in six passes over the state."""
+    s_arr, y_arr = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
+    m_pos, m_neg = _driver_slopes(spec, terms)
+    hedge = np.asarray(spec.hedge(t, s_arr, v, y_arr), dtype=float)
+    dividend = np.asarray(spec.dividend(t, s_arr, v), dtype=float)
+    base = dividend - np.maximum(hedge, 0.0) * terms[4] - np.minimum(hedge, 0.0) * terms[5]
+    shape = np.broadcast_shapes(s_arr.shape, y_arr.shape, np.shape(base), *map(np.shape, terms))
+    out, work = np.empty(shape), np.empty(shape)
+    np.multiply(np.minimum(y_arr, 0.0, out=out), -m_neg, out=out)
+    np.add(base, np.multiply(np.maximum(y_arr, 0.0, out=work), m_pos, out=work), out=work)
+    np.add(work, out, out=out)
+    return out if out.shape else float(out)
+
+
+def book_spec(**market):
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "book.json").read_text())
+    cfg["market"].update(market)
+    return build_run(normalise_config(cfg)).spec
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", ["book", "concave", "fixture", "fixture_dividend", "hedged",
+                                  "mixed"])
+@pytest.mark.parametrize("state", [False, True], ids=["scalar-hedge", "state-shaped"])
+def test_driver_branches_are_bit_equal_to_the_six_pass_formula(name, state):
+    spec = {
+        "book": lambda: book_spec(),
+        "concave": lambda: book_spec(lgd_investor=0),
+        "fixture": lambda: time_table_spec("xva_fixture"),  # a zero base
+        "fixture_dividend": lambda: driver_spec("dividend"),
+        "hedged": lambda: driver_spec("hedged"),
+        # convex in y before t = 0.2 and concave after
+        "mixed": lambda: MarketSpec(funding_rate_pos=lambda t: 0.02 + 0.1 * np.asarray(t),
+                                    funding_rate_neg=0.04, payoff=capped_call(100.0, 30.0)),
+    }[name]()
+    spec = state_shaped(spec) if state else spec
+    times = np.linspace(0.0, 0.5, 6)
+    m_pos, m_neg = _driver_slopes(spec, _driver_rates(spec, times))
+    curvature = m_pos + m_neg  # > 0: convex in y; < 0: concave
+    if name == "concave":
+        assert np.all(curvature < 0.0)
+    elif name == "mixed":
+        assert np.any(curvature > 0.0) and np.any(curvature < 0.0)
+    else:
+        assert np.all(curvature > 0.0)
+    rng = np.random.default_rng(9)
+    s = np.exp(rng.normal(4.6, 0.3, (4, 3, 6)))
+    v = rng.uniform(-0.01, 0.3, (3, 6))
+    y = rng.normal(0.0, 5.0, (4, 3, 6))
+    y[0, 0] = [0.0, -0.0, math.nan, 1e-300, -1e-300, -30.0]
+    y[1, 0] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]
+    y_pos = np.abs(y)
+    y_pos[1, 0] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]  # gathers of a non-negative iterate
+    calls = [(_driver_rates(spec, t), t, s[..., k], v[..., k], y[..., k], y_pos[..., k])
+             for k, t in enumerate(times)]
+    calls.append((_driver_rates(spec, times), times, s, v, y, y_pos))  # terms over times
+    for terms, t, s_k, v_k, y_k, pos_k in calls:
+        for yy, nonneg in ((y_k, False), (pos_k, False), (pos_k, True)):
+            want = bits(six_pass_driver(spec, terms, t, s_k, v_k, yy))
+            assert np.array_equal(bits(_driver_at(spec, terms, t, s_k, v_k, yy, y_nonneg=nonneg)),
+                                  want)
+            # as the sweep calls it: the result over the price, the work over the value
+            s_buf, y_buf = s_k.copy(), yy.copy()
+            got = _driver_at(spec, terms, t, s_buf, v_k, y_buf, out=s_buf, work=y_buf,
+                             y_nonneg=nonneg)
+            assert got is s_buf and np.array_equal(bits(got), want)
+        for y_scalar in (2.5, -2.5, 0.0, -0.0, math.nan):
+            if np.ndim(terms[0]) == 0:
+                got = _driver_at(spec, terms, t, 90.0, 0.04, y_scalar)
+                assert type(got) is float
+                assert bits(got) == bits(six_pass_driver(spec, terms, t, 90.0, 0.04, y_scalar))
+            got = _driver_at(spec, terms, t, s_k, v_k, y_scalar)
+            assert np.array_equal(bits(got), bits(six_pass_driver(spec, terms, t, s_k, v_k,
+                                                                  y_scalar)))
 
 
 def test_fixture_driver_slopes_on_the_master_nodes():
