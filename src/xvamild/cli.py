@@ -104,12 +104,6 @@ class OutputDir:
 def _resolve_threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
-    env = os.environ.get("XVA_MILD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError("XVA_MILD_THREADS", f"not an integer: {env!r}") from exc
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return max(1, os.cpu_count() or 1)
@@ -167,11 +161,7 @@ def cmd_defaults(args, setup, threads, out) -> int:
 
     grid = TimeGrid(setup.t0, setup.t_end, setup.n_steps)
     curve = survival_curve(dspec, grid)
-    dens = {
-        "investor": default_density(dspec, grid, "investor"),
-        "counterparty": default_density(dspec, grid, "counterparty"),
-        "joint": default_density(dspec, grid),
-    }
+    dens = default_density(dspec, grid)
 
     header = ["t", "investor", "counterparty", "joint"]
     columns = [grid.nodes, curve.investor, curve.counterparty, curve.joint]
@@ -309,7 +299,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", default="xvamild_out", help="output directory")
     sub.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default: XVA_MILD_THREADS or the cores available to the process)",
+        help="worker threads (default: the cores available to the process)",
     )
     sub.add_argument(
         "--seed", type=_nonneg_int, default=None,

@@ -14,7 +14,6 @@ and simply means the party never defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -179,41 +178,38 @@ class DensityResult:
     identity_gap: float
 
 
-def default_density(
-    spec: DefaultSpec, grid: TimeGrid, party: Optional[str] = None
-) -> DensityResult:
-    """Density of the (joint) default time: survival times total hazard."""
+def default_density(spec: DefaultSpec, grid: TimeGrid) -> dict:
+    """First-crossing densities of the investor, the counterparty and the
+    joint (first) default time, keyed by those names: survival times total
+    hazard, from one evaluation of each party's clock on the grid."""
     nodes = grid.nodes
-    names = _PARTIES if party is None else (party,)
-    surv = np.ones(len(nodes))
-    total_hazard = np.zeros(len(nodes))
-    for name in names:
-        party_surv, party_hazard = _survival_and_hazard(spec.party(name), nodes, name)
-        surv = surv * party_surv
-        total_hazard = total_hazard + party_hazard
-    values = surv * total_hazard
-    atom = float(surv[-1])
-    mass = float(np.trapezoid(values, nodes))
-    return DensityResult(
-        nodes=nodes,
-        values=values,
-        atom=atom,
-        identity_gap=abs(mass + atom - 1.0),
-    )
+    clocks = [_survival_and_hazard(spec.party(name), nodes, name) for name in _PARTIES]
+    out = {}
+    for name, group in zip((*_PARTIES, "joint"), ([clocks[0]], [clocks[1]], clocks)):
+        # a product from ones and a sum from zeros for one clock as for two,
+        # so a -0.0 hazard reads +0.0 in each
+        surv = np.ones(len(nodes))
+        total_hazard = np.zeros(len(nodes))
+        for party_surv, party_hazard in group:
+            surv = surv * party_surv
+            total_hazard = total_hazard + party_hazard
+        values = surv * total_hazard
+        atom = float(surv[-1])
+        mass = float(np.trapezoid(values, nodes))
+        out[name] = DensityResult(nodes=nodes, values=values, atom=atom,
+                                  identity_gap=abs(mass + atom - 1.0))
+    return out
 
 
 def identity_gaps(spec: DefaultSpec, t0: float, t_end: float) -> dict:
-    """Density identity gaps of the investor, counterparty and joint clocks.
+    """Density identity gaps of the investor, counterparty and joint clocks,
+    from one ``default_density`` on a dense grid.
 
     First-passage densities can carry a root-like kink at t0, so the
     trapezoid needs a dense grid for the identity to reach 1e-6.
     """
     dense = TimeGrid(t0, t_end, 20000)
-    return {
-        "investor": default_density(spec, dense, "investor").identity_gap,
-        "counterparty": default_density(spec, dense, "counterparty").identity_gap,
-        "joint": default_density(spec, dense).identity_gap,
-    }
+    return {name: d.identity_gap for name, d in default_density(spec, dense).items()}
 
 
 def empirical_survival(times: np.ndarray, nodes: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -426,22 +426,21 @@ def picard_solve(
     tol: float = 1e-3,
     max_sweeps: int = 25,
     validate_fresh: bool = False,
-    min_sweeps: int = 1,
 ) -> PicardReport:
     """Iterate the mild map to its fixed point on the tensor grid.
 
     model must already carry the pricing-measure drift.  Each slab starts
-    from the driver-off terminal sweep and stops once consecutive sweeps
-    agree within max(tol, 3 * stderr floor); common random numbers make
-    that difference nearly noise-free.  validate_fresh reruns the final
-    map once with independent streams and records the gap.  min_sweeps
-    keeps each slab iterating past the stop rule, which makes the geometric
-    decay of sup_diffs observable instead of stopping at the first pass.
+    from the driver-off terminal sweep and runs at most max_sweeps (at
+    least 1) driver sweeps, stopping once consecutive sweeps agree within
+    max(tol, 3 * stderr floor); common random numbers make that difference
+    nearly noise-free.  validate_fresh reruns the final map once with
+    independent streams and records the gap.
     """
+    if max_sweeps < 1:
+        raise InvariantError(f"max_sweeps must be >= 1, got {max_sweeps}")
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
     v_nodes = np.asarray(v_nodes, dtype=float)
-    min_sweeps = min(min_sweeps, max_sweeps)
     spec.validate(horizon=max(float(t_nodes[-1]) - spec.t0, 1e-9))
     master = TimeGrid(float(t_nodes[0]), float(t_nodes[-1]), mc.n_steps)
     _master_indices(t_nodes, master)  # off-grid time nodes fail before any budget work
@@ -460,11 +459,10 @@ def picard_solve(
     terminal = spec.payoff
     for a, b in reversed(list(zip(slab_ix[:-1], slab_ix[1:]))):
         slab_t = t_nodes[a : b + 1]
-        u_cur, err, cov = apply_mild_map(
+        u_cur, _, _ = apply_mild_map(
             spec, model, None, slab_t, x_nodes, v_nodes, mc,
             master=master, payoff=terminal,
         )
-        slab_err = float(np.max(err))
         n_sweeps = 0
         slab_ok = False
         for _ in range(max_sweeps):
@@ -478,7 +476,7 @@ def picard_solve(
             sup_diffs.append(gap)
             u_cur = u_next
             coverages.append(cov)
-            if n_sweeps >= min_sweeps and gap <= max(tol, 3.0 * slab_err):
+            if gap <= max(tol, 3.0 * slab_err):
                 slab_ok = True
                 break
         converged = converged and slab_ok
@@ -525,11 +523,11 @@ def refine_point(
     u: GridFunction,
     point,
     mc: McConfig,
-    n_paths: Optional[int] = None,
     seed_salt: int = 0,
 ):
-    """Re-estimate the solved field at one (t, x, v) point, usually with
-    more paths than the grid solve spent per node.
+    """Re-estimate the solved field at one (t, x, v) point on mc.n_paths
+    paths; to spend more paths than the grid solve spent per node, pass an
+    mc with more.
 
     One extra application of the mild map at a single state: the value is
     E[phi] plus the driver integral along fresh paths with the driver fed
@@ -538,8 +536,6 @@ def refine_point(
     """
     t_pt, x_pt, v_pt = (float(p) for p in point)
     t_end = float(u.t_nodes[-1])
-    if n_paths is not None:
-        mc = replace(mc, n_paths=int(n_paths))
     if t_pt >= t_end - 1e-12:
         val = float(np.asarray(spec.payoff(np.exp(x_pt), v_pt), dtype=float))
         return val, 0.0

@@ -243,26 +243,31 @@ def _driver_at(spec: MarketSpec, terms, t: float, s, v, y, out=None, work=None,
                y_nonneg=False):
     """The driver formula at time t, given ``_driver_rates`` at t.
 
-    The price is not checked here: ``driver`` and ``_a_increment`` check
-    it, and the sweep checks its shift plane before it forms the price.
-    The dividend and hedge terms keep their own shape (a scalar for the
-    built-in dividends and the zero hedge); the result has the shape of s,
-    y and the terms broadcast together.  ``out`` and ``work``, both of that
-    shape, are optional buffers; the result is written into ``out``.  The
-    hedge and dividend are read first, so ``out`` may be s itself and
-    ``work`` may be y itself; both are then overwritten.  ``y_nonneg``
-    promises y >= 0 (NaN aside), and the driver is then base + y m+.
+    The terms must be those of the one time t: one comparison of the
+    slopes picks the driver's branch, and the driver may be convex in y at
+    some times and concave at others, so slopes over several times raise
+    InvariantError.  The price is not checked here: ``driver`` and
+    ``_a_increment`` check it, and the sweep checks its shift plane before
+    it forms the price.  The dividend and hedge terms keep their own shape
+    (a scalar for the built-in dividends and the zero hedge); the result
+    has the shape of s, y and those terms broadcast together.  ``out`` and
+    ``work``, both of that shape, are optional buffers; the result is
+    written into ``out``.  The hedge and dividend are read first, so
+    ``out`` may be s itself and ``work`` may be y itself; both are then
+    overwritten.  ``y_nonneg`` promises y >= 0 (NaN aside), and the driver
+    is then base + y m+.
     """
+    m_pos, m_neg = _driver_slopes(spec, terms)
+    if np.ndim(m_pos) or np.ndim(m_neg):
+        raise InvariantError("the driver's terms must be those of one time")
     s_arr = np.asarray(s, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    m_pos, m_neg = _driver_slopes(spec, terms)
     hedge = np.asarray(spec.hedge(t, s_arr, v, y_arr), dtype=float)
     dividend = np.asarray(spec.dividend(t, s_arr, v), dtype=float)
     # h- = -min(h, 0), so the minimum term takes the negated factor
     base = dividend - np.maximum(hedge, 0.0) * terms[4] - np.minimum(hedge, 0.0) * terms[5]
     if out is None:
-        out = np.empty(np.broadcast_shapes(s_arr.shape, y_arr.shape, np.shape(base),
-                                           *map(np.shape, terms)))
+        out = np.empty(np.broadcast_shapes(s_arr.shape, y_arr.shape, np.shape(base)))
     if y_nonneg:
         np.multiply(y_arr, m_pos, out=out)
     else:
@@ -273,13 +278,7 @@ def _driver_at(spec: MarketSpec, terms, t: float, s, v, y, out=None, work=None,
         # out (perhaps s) is written first, work (perhaps y) as y is last read
         np.multiply(y_arr, -m_neg, out=out)
         np.multiply(y_arr, m_pos, out=work)
-        convex = m_pos >= -m_neg
-        if np.all(convex):
-            np.maximum(work, out, out=out)
-        elif np.all(m_pos <= -m_neg):
-            np.minimum(work, out, out=out)
-        else:  # terms over times, convex at some and concave at others
-            np.copyto(out, np.where(convex, np.maximum(work, out), np.minimum(work, out)))
+        (np.maximum if m_pos >= -m_neg else np.minimum)(work, out, out=out)
     np.add(out, base, out=out)
     return out if out.shape else float(out)
 

@@ -10,6 +10,7 @@ change in either route trips the comparison.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from xvamild.defaultclock import (
     sample_default_times,
     survival_curve,
 )
-from xvamild.gridfn import GridFunction
+from xvamild.gridfn import GridFunction, sup_diff
 from xvamild.mildsolver import (
     McConfig,
+    apply_mild_map,
     comparison_check,
     linear_oracle,
     lipschitz_budget,
@@ -161,8 +163,8 @@ def test_default_sampling_density_identity_and_factorisation():
         gap = np.max(np.abs(empirical_survival(tau, grid.nodes) - exact))
         assert gap <= 0.01
 
-    for party in ("investor", "counterparty", None):
-        assert abs(default_density(spec, grid, party).identity_gap) <= 1e-6
+    for dens in default_density(spec, grid).values():  # investor, counterparty, joint
+        assert abs(dens.identity_gap) <= 1e-6
 
     assert np.array_equal(curve.joint, curve.investor * curve.counterparty)
     assert time.perf_counter() - start < 30.0
@@ -267,7 +269,7 @@ def test_solver_reproduces_price_oracles():
         mc, tol=1e-3,
     )
     price, stderr = refine_point(
-        call_spec, bs_q, rep.u, (0.0, X0, 0.04), mc, n_paths=200000, seed_salt=5
+        call_spec, bs_q, rep.u, (0.0, X0, 0.04), replace(mc, n_paths=200000), seed_salt=5
     )
     assert abs(price - CAPPED_CALL_ORACLE) / CAPPED_CALL_ORACLE <= 0.01
     assert stderr < 0.2
@@ -308,13 +310,17 @@ def test_picard_iterates_contract_geometrically():
     spec, model = xva_spec(), xva_model()
     assert lipschitz_budget(spec, 0.0, T_END) <= 0.5
 
-    rep = picard_solve(
-        spec, model, np.linspace(0.0, T_END, 5),
-        np.linspace(HULL[0], HULL[1], 11), np.linspace(HULL[2], HULL[3], 5),
-        McConfig(n_paths=8000, n_steps=32, master_seed=3, threads=2),
-        tol=1e-9, max_sweeps=8, min_sweeps=6,
-    )
-    diffs = rep.sup_diffs
+    # the terminal sweep, then six driver sweeps past any stop rule, so the
+    # geometric decay of the gaps shows instead of stopping at the first pass
+    axes = (np.linspace(0.0, T_END, 5), np.linspace(HULL[0], HULL[1], 11),
+            np.linspace(HULL[2], HULL[3], 5))
+    mc = McConfig(n_paths=8000, n_steps=32, master_seed=3, threads=2)
+    u, _, _ = apply_mild_map(spec, model, None, *axes, mc)
+    diffs = []
+    for _ in range(6):
+        u_next, _, _ = apply_mild_map(spec, model, u, *axes, mc)
+        diffs.append(sup_diff(u_next, u))
+        u = u_next
     # ratios are meaningful until the deterministic iteration hits machine noise
     ratios = [
         diffs[i + 1] / diffs[i]
@@ -352,7 +358,7 @@ def test_compensated_value_is_flat_on_fresh_paths(xva_solution):
 
     mc = McConfig(n_paths=10000, n_steps=32, master_seed=3, threads=2)
     ref, ref_err = refine_point(
-        spec, model, rep.u, (0.0, X0, 0.04), mc, n_paths=200000, seed_salt=77
+        spec, model, rep.u, (0.0, X0, 0.04), replace(mc, n_paths=200000), seed_salt=77
     )
     node_gap = abs(float(rep.u.evaluate_at_time(0.0, X0, 0.04)) - ref)
     assert node_gap <= 3.0 * (ref_err + rep.stderr_floor)

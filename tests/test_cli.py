@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from xvamild import cli, config, verify
+from xvamild import cli, config, defaultclock, verify
 from xvamild.cli import main
 from xvamild.config import (
     ConfigError,
@@ -917,6 +917,33 @@ def test_defaults_curves_and_mc_check(tmp_path):
     assert 0.9 < summary["atoms"]["joint"] < 1.0
 
 
+def test_defaults_evaluates_each_clock_once_per_grid(tmp_path, monkeypatch):
+    calls = []
+    clock = defaultclock._survival_and_hazard
+
+    def counted(party, nodes, name):
+        calls.append((name, len(nodes)))
+        return clock(party, nodes, name)
+
+    monkeypatch.setattr(defaultclock, "_survival_and_hazard", counted)
+    cfg = full_xva_config()
+    assert main(["defaults", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    n_run = build_run(normalise_config(cfg)).n_steps + 1
+    # the dense identity grid, then the run grid of density.csv
+    assert calls == [("investor", 20001), ("counterparty", 20001),
+                     ("investor", n_run), ("counterparty", n_run)]
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "defaults", "solve", "price", "verify"])
+def test_every_subcommand_help_exits_0_and_names_no_thread_variable(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert f"usage: xvamild {cmd}" in text and "--threads" in text
+    assert "XVA_MILD_THREADS" not in text
+
+
 def _fmt(x):
     return f"{float(x):.17g}"
 
@@ -943,7 +970,7 @@ def test_defaults_tables_match_the_per_row_fstrings(tmp_path, mc_check):
             row += f",{_fmt(emp[k])},{_fmt(abs(emp[k] - curve.joint[k]))}"
         rows.append(row)
     assert (out / "survival.csv").read_text() == "".join(r + "\n" for r in rows)
-    dens = [default_density(setup.spec.defaults, grid, p).values for p in ("investor", "counterparty", None)]
+    dens = [d.values for d in default_density(setup.spec.defaults, grid).values()]
     rows = ["t,investor,counterparty,joint"] + [
         ",".join(_fmt(c) for c in (t, dens[0][k], dens[1][k], dens[2][k])) for k, t in enumerate(grid.nodes)
     ]
@@ -1266,32 +1293,21 @@ def test_affine_fixed_point_matches_the_oracle_on_nodes_of_a_custom_book(gamma):
         assert abs(rep.u.values[0, ix, iv] - ref) <= slack, (point, ref, slack)
 
 
-def test_threads_env_fallback(monkeypatch, tmp_path):
-    from xvamild.cli import _resolve_threads
-
-    class Args:
-        threads = None
-
-    monkeypatch.setenv("XVA_MILD_THREADS", "3")
-    assert _resolve_threads(Args()) == 3
-    Args.threads = 2  # explicit flag wins over the environment
-    assert _resolve_threads(Args()) == 2
-    monkeypatch.setenv("XVA_MILD_THREADS", "zebra")
-    Args.threads = None
-    with pytest.raises(ConfigError, match="XVA_MILD_THREADS"):
-        _resolve_threads(Args())
-
-
 def test_threads_default_is_the_cores_available_to_the_process(monkeypatch):
     from xvamild.cli import _resolve_threads
 
     class Args:
         threads = None
 
-    monkeypatch.delenv("XVA_MILD_THREADS", raising=False)
+    monkeypatch.setenv("XVA_MILD_THREADS", "5")  # no environment variable is read
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
     assert _resolve_threads(Args()) == 3  # a taskset or cpuset of 3 cores on a 64-core machine
+    Args.threads = 2  # the flag wins over the affinity, and asks for one thread at least
+    assert _resolve_threads(Args()) == 2
+    Args.threads = 0
+    assert _resolve_threads(Args()) == 1
+    Args.threads = None
     monkeypatch.delattr(os, "sched_getaffinity")  # platforms without affinity use the core count
     assert _resolve_threads(Args()) == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)

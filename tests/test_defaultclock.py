@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from xvamild import defaultclock
 from xvamild.defaultclock import (
     DefaultSpec,
     PartyDefault,
@@ -10,13 +11,14 @@ from xvamild.defaultclock import (
     default_density,
     empirical_survival,
     hazard_curve,
+    identity_gaps,
     no_default_party,
     sample_default_times,
     survival_curve,
 )
 from xvamild.simulate import TimeGrid, simulate_paths
 from xvamild.special import GammaParams, SingularInputError, gamma_hazard_factor, gamma_survival
-from xvamild.volmodel import InvariantError, build_power_model, heston_params
+from xvamild.volmodel import InvariantError, build_power_model, heston_params, on_times
 
 # Frozen: Q(2, 2) for the lambda(t) = t, shape 2, rate 1 case at t = 2.
 Q_2_2 = 0.4060058497098381
@@ -45,7 +47,7 @@ def test_zero_intensity_never_defaults():
     times = sample_default_times(spec, grid, 1000, seed=3)
     assert np.all(np.isinf(times.investor))
     assert np.all(np.isinf(times.counterparty))
-    dens = default_density(spec, grid)
+    dens = default_density(spec, grid)["joint"]
     assert np.all(dens.values == 0.0)
     assert dens.atom == 1.0
     assert dens.identity_gap == 0.0
@@ -137,8 +139,8 @@ def test_tie_fraction_within_grid_collision_bound():
     grid = TimeGrid(0.0, 2.0, 100)
     n = 100_000
     times = sample_default_times(spec, grid, n, seed=17)
-    dens_i = default_density(spec, grid, party="investor").values
-    dens_c = default_density(spec, grid, party="counterparty").values
+    dens = default_density(spec, grid)
+    dens_i, dens_c = dens["investor"].values, dens["counterparty"].values
     bound = float(np.sum(dens_i * dens_c) * grid.dt**2)
     assert times.tie_fraction <= 2.0 * bound + 3.0 * math.sqrt(bound / n)
 
@@ -147,7 +149,7 @@ def test_density_identity_two_parties():
     spec = two_party_spec(
         lam_i=0.3, lam_c=0.6, thr_i=(2.0, 1.5), thr_c=(1.0, 1.0)
     )
-    dens = default_density(spec, TimeGrid(0.0, 3.0, 3000))
+    dens = default_density(spec, TimeGrid(0.0, 3.0, 3000))["joint"]
     assert dens.identity_gap <= 1e-6
     assert np.all(dens.values >= 0.0)
 
@@ -157,7 +159,7 @@ def test_density_single_party_matches_negative_curve_slope():
         PartyDefault(0.8, GammaParams(2.5, 2.0)), no_default_party()
     )
     grid = TimeGrid(0.0, 2.0, 2000)
-    dens = default_density(spec, grid, party="investor")
+    dens = default_density(spec, grid)["investor"]
     assert dens.identity_gap <= 1e-6
     curve = survival_curve(spec, grid)
     fd = -(curve.investor[2:] - curve.investor[:-2]) / (2.0 * grid.dt)
@@ -196,3 +198,61 @@ def test_density_with_stochastic_intensity_pathwise():
     tau = np.where(pos < len(grid.nodes), grid.nodes[np.minimum(pos, len(grid.nodes) - 1)], np.inf)
     gap = np.max(np.abs(empirical_survival(tau, grid.nodes) - surv_hat))
     assert gap <= 0.03
+
+
+def per_party_density(spec, grid, names):
+    """The density of the first default among the named parties, as
+    default_density formed it for one party or both at a call each: a
+    product from ones and a sum from zeros over each party's clock."""
+    nodes = grid.nodes
+    surv, total_hazard = np.ones(len(nodes)), np.zeros(len(nodes))
+    for name in names:
+        party = spec.party(name)
+        lam = cumulative_intensity(party, nodes, name)
+        surv = surv * gamma_survival(party.threshold, lam)
+        total_hazard = total_hazard + on_times(party.intensity, nodes) * gamma_hazard_factor(
+            party.threshold, lam)
+    values = surv * total_hazard
+    atom = float(surv[-1])
+    return values, atom, abs(float(np.trapezoid(values, nodes)) + atom - 1.0)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("spec", [
+    two_party_spec(lam_i=0.3, lam_c=0.6, thr_i=(2.0, 1.5), thr_c=(1.0, 1.0)),
+    # a -0.0 intensity: its hazard is -0.0, which the sum from zeros makes +0.0
+    DefaultSpec(PartyDefault(-0.0, GammaParams(1.0, 1.0)),
+                PartyDefault(lambda t: 0.15 + 0.1 * t, GammaParams(1.5, 1.0))),
+    DefaultSpec(PartyDefault(lambda t: 0.8 * t, GammaParams(2.5, 2.0)),
+                PartyDefault(-0.0, GammaParams(1.5, 2.0))),
+], ids=["flat", "zero-investor", "zero-counterparty"])
+def test_density_evaluates_each_clock_once_with_the_per_party_bits(monkeypatch, spec):
+    calls = []
+    clock = defaultclock._survival_and_hazard
+
+    def counted(party, nodes, name):
+        calls.append((name, len(nodes)))
+        return clock(party, nodes, name)
+
+    monkeypatch.setattr(defaultclock, "_survival_and_hazard", counted)
+    groups = {"investor": ["investor"], "counterparty": ["counterparty"],
+              "joint": ["investor", "counterparty"]}
+    grid = TimeGrid(0.0, 2.0, 400)
+    dens = default_density(spec, grid)
+    assert calls == [("investor", 401), ("counterparty", 401)]
+    assert list(dens) == list(groups)
+    for name, names in groups.items():
+        values, atom, gap = per_party_density(spec, grid, names)
+        assert np.array_equal(bits(dens[name].values), bits(values))
+        assert bits(dens[name].atom) == bits(atom)
+        assert bits(dens[name].identity_gap) == bits(gap)
+    calls.clear()
+    gaps = identity_gaps(spec, 0.0, 2.0)
+    assert calls == [("investor", 20001), ("counterparty", 20001)]
+    dense = TimeGrid(0.0, 2.0, 20000)
+    assert list(gaps) == list(groups)
+    for name, names in groups.items():
+        assert bits(gaps[name]) == bits(per_party_density(spec, dense, names)[2])

@@ -304,6 +304,17 @@ def test_time_nodes_must_hit_master_grid():
         )
 
 
+@pytest.mark.parametrize("max_sweeps", [0, -1])
+def test_solve_needs_one_driver_sweep_at_least(max_sweeps, monkeypatch):
+    # before any sweep: with none the solve would return the driver-free E[phi]
+    monkeypatch.setattr(mildsolver, "apply_mild_map", None)
+    spec = riskfree_spec(0.0, constant_payoff(1.0))
+    model = build_power_model(black_scholes_params())
+    with pytest.raises(InvariantError, match="max_sweeps must be >= 1"):
+        picard_solve(spec, model, [0.0, 1.0], [4.0, 5.0], [0.02, 0.06],
+                     McConfig(n_paths=8, n_steps=4), max_sweeps=max_sweeps)
+
+
 def test_terminal_slice_is_exact_payoff():
     spec = riskfree_spec(0.05, capped_call(100.0, 30.0))
     model = build_power_model(black_scholes_params(drift_b=0.05))
@@ -741,7 +752,8 @@ def test_multi_chunk_sweeps_are_bit_identical_across_thread_counts():
     for threads in (1, 2, 3):
         mc_t = replace(mc, threads=threads)
         sweep, err, cov = apply_mild_map(spec, model, u, u.t_nodes, u.x_nodes, u.v_nodes, mc_t)
-        runs.append((sweep.values, err, cov, refine_point(spec, model, u, (0.0, X0, 0.04), mc_t, 8500)))
+        runs.append((sweep.values, err, cov, refine_point(spec, model, u, (0.0, X0, 0.04),
+                                                           replace(mc_t, n_paths=8500))))
     for values, err, cov, refined in runs[1:]:
         assert np.array_equal(values, runs[0][0])
         assert np.array_equal(err, runs[0][1])
@@ -789,7 +801,7 @@ def test_each_chunk_is_drawn_once_per_sweep(monkeypatch, threads):
     mc = McConfig(n_paths=9600, n_steps=6, master_seed=4, threads=threads)
     n_nodes = len(u.x_nodes) * len(u.v_nodes)
     apply_mild_map(spec, model, u, u.t_nodes, u.x_nodes, u.v_nodes, mc)
-    refine_point(spec, model, u, (0.0, X0, 0.04), mc, 8500)
+    refine_point(spec, model, u, (0.0, X0, 0.04), replace(mc, n_paths=8500))
     assert len(u.t_nodes) - 1 >= 3  # several slices share each draw
     grid_chunks = list(range(math.ceil(9600 / min(_CHUNK, _STATE_BUDGET // n_nodes))))
     assert sweeps == [
@@ -848,7 +860,7 @@ def test_single_chunk_sweeps_are_bit_identical_across_thread_counts(monkeypatch,
         n = min(threads, len(x))
         slabs = [[1] + [n] * k for k in reversed(solved.sweeps_per_slab)]
         assert block_counts == [n, 1] + sum(slabs, [])
-        refined = refine_point(spec, model, u, (0.0, X0, 0.04), mc_t, 4000)
+        refined = refine_point(spec, model, u, (0.0, X0, 0.04), replace(mc_t, n_paths=4000))
         runs.append((swept.values, err, cov, terminal.values, err0, solved.u.values,
                      solved.sup_diffs, refined))
     # no two nodes share a value, so node blocks put back in another order could not match

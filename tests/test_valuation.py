@@ -967,6 +967,12 @@ def book_spec(**market):
     return build_run(normalise_config(cfg)).spec
 
 
+def mixed_spec():
+    """A driver convex in y before t = 0.2 and concave after."""
+    return MarketSpec(funding_rate_pos=lambda t: 0.02 + 0.1 * np.asarray(t),
+                      funding_rate_neg=0.04, payoff=capped_call(100.0, 30.0))
+
+
 def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
@@ -981,9 +987,7 @@ def test_driver_branches_are_bit_equal_to_the_six_pass_formula(name, state):
         "fixture": lambda: time_table_spec("xva_fixture"),  # a zero base
         "fixture_dividend": lambda: driver_spec("dividend"),
         "hedged": lambda: driver_spec("hedged"),
-        # convex in y before t = 0.2 and concave after
-        "mixed": lambda: MarketSpec(funding_rate_pos=lambda t: 0.02 + 0.1 * np.asarray(t),
-                                    funding_rate_neg=0.04, payoff=capped_call(100.0, 30.0)),
+        "mixed": mixed_spec,
     }[name]()
     spec = state_shaped(spec) if state else spec
     times = np.linspace(0.0, 0.5, 6)
@@ -1005,7 +1009,6 @@ def test_driver_branches_are_bit_equal_to_the_six_pass_formula(name, state):
     y_pos[1, 0] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0]  # gathers of a non-negative iterate
     calls = [(_driver_rates(spec, t), t, s[..., k], v[..., k], y[..., k], y_pos[..., k])
              for k, t in enumerate(times)]
-    calls.append((_driver_rates(spec, times), times, s, v, y, y_pos))  # terms over times
     for terms, t, s_k, v_k, y_k, pos_k in calls:
         for yy, nonneg in ((y_k, False), (pos_k, False), (pos_k, True)):
             want = bits(six_pass_driver(spec, terms, t, s_k, v_k, yy))
@@ -1017,13 +1020,26 @@ def test_driver_branches_are_bit_equal_to_the_six_pass_formula(name, state):
                              y_nonneg=nonneg)
             assert got is s_buf and np.array_equal(bits(got), want)
         for y_scalar in (2.5, -2.5, 0.0, -0.0, math.nan):
-            if np.ndim(terms[0]) == 0:
-                got = _driver_at(spec, terms, t, 90.0, 0.04, y_scalar)
-                assert type(got) is float
-                assert bits(got) == bits(six_pass_driver(spec, terms, t, 90.0, 0.04, y_scalar))
+            got = _driver_at(spec, terms, t, 90.0, 0.04, y_scalar)
+            assert type(got) is float
+            assert bits(got) == bits(six_pass_driver(spec, terms, t, 90.0, 0.04, y_scalar))
             got = _driver_at(spec, terms, t, s_k, v_k, y_scalar)
             assert np.array_equal(bits(got), bits(six_pass_driver(spec, terms, t, s_k, v_k,
                                                                   y_scalar)))
+
+
+@pytest.mark.parametrize("name", ["book", "mixed"])
+def test_driver_refuses_terms_over_several_times(name):
+    # one comparison of the slopes picks the branch, so the terms must be of one time
+    spec = {"book": book_spec, "mixed": mixed_spec}[name]()
+    times = np.linspace(0.0, 0.5, 6)
+    terms = _driver_rates(spec, times)
+    s, v, y = np.full(6, 90.0), np.full(6, 0.04), np.linspace(-2.0, 2.0, 6)
+    for nonneg in (False, True):
+        with pytest.raises(InvariantError, match="one time"):
+            _driver_at(spec, terms, times, s, v, np.abs(y) if nonneg else y, y_nonneg=nonneg)
+    with pytest.raises(InvariantError, match="one time"):  # two columns of the sweep's table
+        _driver_at(spec, np.stack(terms)[:, 1:3], times[1:3], s[:2], v[:2], y[:2])
 
 
 def test_fixture_driver_slopes_on_the_master_nodes():
