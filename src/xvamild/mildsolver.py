@@ -50,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .defaultclock import _trapezoid_cumsum
-from .gridfn import CoverageError, GridFunction, _check_uniform, sup_diff
+from .gridfn import CoverageError, GridFunction, sup_diff
 from .simulate import (
     _CHUNK,
     TimeGrid,
@@ -62,7 +62,7 @@ from .simulate import (
     simulate_paths,
 )
 from .special import DomainError
-from .valuation import MarketSpec, _driver_at, _driver_rates, driver, driver_lipschitz
+from .valuation import MarketSpec, _driver_at, _driver_rates, driver_lipschitz
 from .volmodel import WORK_PLANES, InvariantError, VolModel, on_times
 
 _BUDGET_CAP = 0.5  # per-slab integrated Lipschitz bound
@@ -596,53 +596,6 @@ def linear_oracle(
     _check_path_budget(n_invalid, n_paths)
     est = np.concatenate(ests)
     return float(est.mean()), float(est.std(ddof=1) / math.sqrt(len(est)))
-
-
-# -- pointwise PDE residual ------------------------------------------------------
-
-
-def pde_residual(spec: MarketSpec, model: VolModel, u: GridFunction) -> np.ndarray:
-    """Central-difference residual of the value PDE at interior grid nodes.
-
-    Checks u_t + (b - theta^2/2) u_x + zeta u_v + (theta^2/2) u_xx
-    + theta eta rho u_xv + (eta^2/2) u_vv + driver = 0 using the grid's
-    own spacings; a field converging to a classical solution drives this
-    to zero as the grid refines.
-    """
-    for name, ax in (("t", u.t_nodes), ("x", u.x_nodes), ("v", u.v_nodes)):
-        if len(ax) < 3:
-            raise InvariantError(f"need at least 3 {name} nodes for a residual")
-    _check_uniform("t", u.t_nodes)  # x and v are uniform by construction
-    ht = u.t_nodes[1] - u.t_nodes[0]
-    hx = u.x_nodes[1] - u.x_nodes[0]
-    hv = u.v_nodes[1] - u.v_nodes[0]
-    U = u.values
-    res = np.empty((len(u.t_nodes) - 2, len(u.x_nodes) - 2, len(u.v_nodes) - 2))
-    for i in range(1, len(u.t_nodes) - 1):
-        t = float(u.t_nodes[i])
-        u_t = (U[i + 1] - U[i - 1]) / (2.0 * ht)
-        u_x = (U[i, 2:, :] - U[i, :-2, :]) / (2.0 * hx)
-        u_xx = (U[i, 2:, :] - 2.0 * U[i, 1:-1, :] + U[i, :-2, :]) / hx**2
-        u_v = (U[i, :, 2:] - U[i, :, :-2]) / (2.0 * hv)
-        u_vv = (U[i, :, 2:] - 2.0 * U[i, :, 1:-1] + U[i, :, :-2]) / hv**2
-        u_xv = (
-            U[i, 2:, 2:] - U[i, 2:, :-2] - U[i, :-2, 2:] + U[i, :-2, :-2]
-        ) / (4.0 * hx * hv)
-        xg, vg = np.meshgrid(u.x_nodes[1:-1], u.v_nodes[1:-1], indexing="ij")
-        theta, zeta, eta = (np.asarray(c, dtype=float) for c in model.coefficients(t, vg))
-        rho = float(model.correlation(t))
-        b = float(model.drift_b(t))
-        bhat = driver(spec, t, np.exp(xg), vg, U[i, 1:-1, 1:-1])
-        res[i - 1] = (
-            u_t[1:-1, 1:-1]
-            + (b - 0.5 * theta**2) * u_x[:, 1:-1]
-            + zeta * u_v[1:-1, :]
-            + 0.5 * theta**2 * u_xx[:, 1:-1]
-            + theta * eta * rho * u_xv
-            + 0.5 * eta**2 * u_vv[1:-1, :]
-            + bhat
-        )
-    return res
 
 
 # -- driver domination / sensitivity check ---------------------------------------

@@ -109,18 +109,6 @@ class PathSet:
         return self.v[~self.invalid] if self.invalid.any() else self.v
 
 
-def path_increments(grid: TimeGrid, master_seed: int, path_id: int):
-    """Re-derive the (dW, dW~) increments the engine used for one path.
-
-    This stays numpy-native, a generator seeded from [master_seed, path_id],
-    so it is the reference the engine's own seed hash is checked against.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, path_id]))
-    z = rng.standard_normal((grid.n_steps, 2))
-    scale = math.sqrt(grid.dt)
-    return z[:, 0] * scale, z[:, 1] * scale
-
-
 class _Hash:
     """One of SeedSequence's running hashes, applied to uint32 arrays: each
     call xors the value with the hash constant, steps the constant, then
@@ -174,9 +162,8 @@ def _seed_words(master_seed: int, lo: int, n: int) -> list:
 
 
 def _fill_noise(out: np.ndarray, master_seed: int, lo: int) -> None:
-    """Row j gets path lo + j's normals: exactly the stream of
-    ``np.random.default_rng(np.random.SeedSequence([master_seed, lo + j]))``,
-    as ``path_increments`` draws it.
+    """Row j gets path lo + j's normals: exactly what ``standard_normal``
+    draws from numpy's ``default_rng(SeedSequence([master_seed, lo + j]))``.
 
     The chunk hashes all its seeds in one vectorised pass (``_seed_words``)
     and owns one PCG64 and one Generator.  Each row sets the PCG64 state its
@@ -308,101 +295,6 @@ def simulate_paths(
     invalid = ~_finite_rows(xs, vs)
     _check_path_budget(int(invalid.sum()), n_paths)
     return PathSet(grid=grid, x=xs, v=vs, master_seed=master_seed, invalid=invalid)
-
-
-def exact_price(grid: TimeGrid, v_path, dw_hat, drift_b, theta_fn, s0: float) -> np.ndarray:
-    """Stochastic-exponential price along one trajectory.
-
-    v_path holds V on the grid nodes, dw_hat the n_steps combined price
-    increments.  The recursion S_{k+1} = S_k exp(theta dw + (b - theta^2/2) dt)
-    matches exp(X) node-for-node when driven by the same increments.
-    """
-    v_path = np.asarray(v_path, dtype=float)
-    dw_hat = np.asarray(dw_hat, dtype=float)
-    if v_path.shape[0] != grid.n_steps + 1 or dw_hat.shape[0] != grid.n_steps:
-        raise InvariantError("v_path/dw_hat lengths do not match the grid")
-    nodes = grid.nodes
-    dt = grid.dt
-    out = np.empty(grid.n_steps + 1)
-    out[0] = s0
-    log_s = math.log(s0)
-    for k in range(grid.n_steps):
-        t = nodes[k]
-        th = float(theta_fn(t, v_path[k]))
-        b = float(drift_b(t))
-        log_s += th * dw_hat[k] + (b - 0.5 * th * th) * dt
-        out[k + 1] = math.exp(log_s)
-    return out
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Sampled moment envelopes versus their model bounds."""
-
-    v_mean_abs: np.ndarray
-    v_bound: np.ndarray
-    v_stderr: np.ndarray
-    v_violations: int
-    x_sup_mean: float
-    x_sup_stderr: float
-    x_bound: float
-    ok: bool
-
-
-def moment_report(paths: PathSet, model: VolModel) -> MomentReport:
-    """Check sampled E|V_t| and E[sup |X|] against the coefficient envelopes.
-
-    Needs the model's drift and theta envelopes; violations beyond three
-    standard errors clear the ok flag.
-    """
-    if model.drift_envelope is None or model.theta_envelope is None:
-        raise InvariantError("model carries no moment envelopes")
-    k_zeta, l_zeta = model.drift_envelope
-    k_theta, lam_theta = model.theta_envelope
-    grid = paths.grid
-    nodes = grid.nodes
-    v = paths.valid_v()
-    x = paths.valid_x()
-    n = v.shape[0]
-
-    av = np.abs(v)
-    v_mean = av.mean(axis=0)
-    v_stderr = av.std(axis=0, ddof=1) / math.sqrt(n)
-
-    # E|V_t| <= e^{int l} |v0| + int_t0^t e^{int_s^t l} k(s) ds, trapezoid in s.
-    l_vals = on_times(l_zeta, nodes)
-    k_vals = on_times(k_zeta, nodes)
-    cum_l = np.concatenate([[0.0], np.cumsum((l_vals[1:] + l_vals[:-1]) * 0.5 * grid.dt)])
-    v_bound = np.empty_like(v_mean)
-    for i in range(len(nodes)):
-        decay = np.exp(cum_l[i] - cum_l[: i + 1])
-        integ = np.trapezoid(decay * k_vals[: i + 1], nodes[: i + 1]) if i > 0 else 0.0
-        v_bound[i] = math.exp(cum_l[i]) * v_mean[0] + integ
-    v_violations = int(np.sum(v_mean > v_bound + 3.0 * v_stderr + 1e-12))
-
-    sup_x = np.abs(x).max(axis=1)
-    x_sup_mean = float(sup_x.mean())
-    x_sup_stderr = float(sup_x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    b_abs = np.abs(on_times(model.drift_b, nodes))
-    kt = on_times(k_theta, nodes)
-    lt = on_times(lam_theta, nodes)
-    int_b_kt2 = float(np.trapezoid(b_abs + kt**2, nodes))
-    int_kt2 = float(np.trapezoid(kt**2, nodes))
-    int_lt2 = float(np.trapezoid(lt**2, nodes))
-    c0 = int_b_kt2 + 2.0 * math.sqrt(int_kt2) + math.sqrt(int_lt2)
-    c1 = int_lt2 + math.sqrt(int_lt2)
-    x_bound = abs(float(x[0, 0])) + c0 + c1 * float(v_mean.max())
-    ok = v_violations == 0 and x_sup_mean <= x_bound + 3.0 * x_sup_stderr
-    return MomentReport(
-        v_mean_abs=v_mean,
-        v_bound=v_bound,
-        v_stderr=v_stderr,
-        v_violations=v_violations,
-        x_sup_mean=x_sup_mean,
-        x_sup_stderr=x_sup_stderr,
-        x_bound=x_bound,
-        ok=ok,
-    )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,10 +77,8 @@ class VolModel:
     results may be work[0:3], and the other planes are scratch.
     ``theta_continuous`` and ``theta_vanishes_at_zero`` are user-asserted
     regularity flags consumed by :func:`measure_change` when the
-    vol-of-vol risk premium is nonzero.  ``drift_envelope`` (k, l) bounds
-    sgn(v) * zeta(t, v) <= k(t) + l(t)|v|; ``theta_envelope`` (k, lam)
-    bounds |theta(t, v)| <= k(t) + lam(t) sqrt(v+).  Either may be None
-    when no envelope is known.
+    vol-of-vol risk premium is nonzero.  A model carries no growth
+    envelopes: for the power family they follow from its PowerParams.
     """
 
     drift_b: TimeFn
@@ -88,8 +86,6 @@ class VolModel:
     correlation: TimeFn
     theta_continuous: bool = False
     theta_vanishes_at_zero: bool = False
-    drift_envelope: Optional[tuple] = None
-    theta_envelope: Optional[tuple] = None
 
     def vol_of_price(self, t, v):
         """theta(t, v)."""
@@ -208,8 +204,6 @@ def build_power_model(params: PowerParams, horizon: float = 1.0) -> VolModel:
         correlation=as_time_fn(params.rho),
         theta_continuous=True,
         theta_vanishes_at_zero=vanishes,
-        drift_envelope=(k, lambda t: -l0(t)),
-        theta_envelope=(lambda t: abs(theta0(t)), lambda t: abs(theta1(t))),
     )
 
 
@@ -292,6 +286,4 @@ def measure_change(model: VolModel, rate, gamma, horizon: float = 1.0) -> VolMod
             zeta = zeta - g * eta_pos * theta_pos
         return theta, zeta, eta
 
-    # The drift envelope does not survive a nonzero premium in general.
-    envelope = model.drift_envelope if gamma_sup == 0.0 else None
-    return replace(model, drift_b=rate_fn, coefficients=coefficients, drift_envelope=envelope)
+    return replace(model, drift_b=rate_fn, coefficients=coefficients)

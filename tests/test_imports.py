@@ -1,8 +1,13 @@
-"""Every module-level import under src/xvamild is read in its own module.
+"""Every module-level import under src/xvamild is read in its own module,
+and every public function and class there has a reader in the package.
 
 An import that nothing reads still loads its module and misstates what the
-module depends on.  The check walks each module's syntax tree with the
-standard library's ``ast``, so it needs no linter.
+module depends on; the tests' reference module ``paper_refs`` is held to
+the same rule.  A public name that nothing in the package reads is API
+that only tests call: it belongs with those tests.  The benchmark's tracer
+wraps some functions by name, and a name it lists counts as read.  The
+checks walk each module's syntax tree with the standard library's ``ast``,
+so they need no linter.
 """
 
 import ast
@@ -10,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "xvamild"
-MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "xvamild"
+TRACER = ROOT / "perfbench" / "tracer.py"
+MODULES = sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "paper_refs.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +45,49 @@ def test_the_check_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_module_level_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_public_names(sources, exempt=()) -> list:
+    """Public top-level functions and classes of the module sources in
+    ``sources`` that no module reads: by name, as an attribute, or in a
+    from-import.  A definition does not read its own name; a body that
+    calls it does.  Names in ``exempt`` are skipped."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return sorted(defined - read - set(exempt))
+
+
+def traced_functions() -> set:
+    """The function names in the tracer's ``FUNCTIONS`` table, read without
+    importing the tracer."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["FUNCTIONS"])
+    return {attr for _, attr, _ in ast.literal_eval(table)}
+
+
+def test_the_check_finds_an_unread_public_name():
+    sources = [
+        ("from .b import used\nimport b\n\nclass Report:\n    pass\n\n"
+         "def orphan():\n    return Report()\n\ndef traced():\n    pass\n\n"
+         "def _private():\n    pass\n"),
+        "def used():\n    pass\n\ndef by_attribute():\n    pass\n\nx = b.by_attribute\n",
+    ]
+    assert unread_public_names(sources) == ["orphan", "traced"]
+    assert unread_public_names(sources, exempt={"traced"}) == ["orphan"]
+
+
+def test_every_public_name_has_a_reader_in_the_package():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
+    assert unread_public_names(sources, exempt=traced_functions()) == []

@@ -22,7 +22,6 @@ from xvamild.mildsolver import (
     comparison_check,
     linear_oracle,
     lipschitz_budget,
-    pde_residual,
     picard_solve,
     refine_point,
     sup_diff,
@@ -43,6 +42,7 @@ from xvamild.volmodel import (
     heston_params,
     on_times,
 )
+from paper_refs import pde_residual
 
 X0 = math.log(100.0)
 

@@ -12,9 +12,6 @@ from xvamild.simulate import (
     InvalidPathBudgetError,
     PathSet,
     TimeGrid,
-    exact_price,
-    moment_report,
-    path_increments,
     positivity_report,
     simulate_paths,
 )
@@ -29,7 +26,10 @@ from xvamild.volmodel import (
     garch_params,
     heston_params,
     measure_change,
+    on_times,
+    sampled_sup,
 )
+from paper_refs import power_envelopes
 
 X0 = math.log(100.0)
 
@@ -84,12 +84,24 @@ def test_bitwise_determinism_across_threads_and_prefix():
     assert not np.array_equal(a.x, d.x)
 
 
+def _path_increments(grid: TimeGrid, master_seed: int, path_id: int):
+    """Re-derive the (dW, dW~) increments the engine used for one path.
+
+    This stays numpy-native, a generator seeded from [master_seed, path_id],
+    so it is the reference the engine's own seed hash is checked against.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([master_seed, path_id]))
+    z = rng.standard_normal((grid.n_steps, 2))
+    scale = math.sqrt(grid.dt)
+    return z[:, 0] * scale, z[:, 1] * scale
+
+
 def test_path_increments_reproduce_the_engine():
     grid = TimeGrid(0.0, 0.5, 25)
     model = heston_model(rho=-0.4)
     ps = simulate_paths(model, (X0, 0.04), grid, 3, master_seed=77)
     for i in range(3):
-        dw, dwt = path_increments(grid, 77, i)
+        dw, dwt = _path_increments(grid, 77, i)
         x, v = X0, 0.04
         for k in range(grid.n_steps):
             t = grid.nodes[k]
@@ -168,21 +180,46 @@ def test_valid_rows_are_the_arrays_themselves_unless_a_row_is_invalid():
     assert not np.shares_memory(masked.valid_x(), x)
 
 
+def _exact_price(grid: TimeGrid, v_path, dw_hat, drift_b, theta_fn, s0: float) -> np.ndarray:
+    """Stochastic-exponential price along one trajectory.
+
+    v_path holds V on the grid nodes, dw_hat the n_steps combined price
+    increments.  The recursion S_{k+1} = S_k exp(theta dw + (b - theta^2/2) dt)
+    matches exp(X) node-for-node when driven by the same increments.
+    """
+    v_path = np.asarray(v_path, dtype=float)
+    dw_hat = np.asarray(dw_hat, dtype=float)
+    if v_path.shape[0] != grid.n_steps + 1 or dw_hat.shape[0] != grid.n_steps:
+        raise InvariantError("v_path/dw_hat lengths do not match the grid")
+    nodes = grid.nodes
+    dt = grid.dt
+    out = np.empty(grid.n_steps + 1)
+    out[0] = s0
+    log_s = math.log(s0)
+    for k in range(grid.n_steps):
+        t = nodes[k]
+        th = float(theta_fn(t, v_path[k]))
+        b = float(drift_b(t))
+        log_s += th * dw_hat[k] + (b - 0.5 * th * th) * dt
+        out[k + 1] = math.exp(log_s)
+    return out
+
+
 def test_exact_price_matches_exp_x():
     grid = TimeGrid(0.0, 1.0, 60)
     model = heston_model(rho=0.3)
     ps = simulate_paths(model, (X0, 0.04), grid, 4, master_seed=9)
     for i in range(4):
-        dw, dwt = path_increments(grid, 9, i)
+        dw, dwt = _path_increments(grid, 9, i)
         rho = 0.3
         dw_hat = math.sqrt(1 - rho * rho) * dw + rho * dwt
-        s = exact_price(grid, ps.v[i], dw_hat, model.drift_b, model.vol_of_price, 100.0)
+        s = _exact_price(grid, ps.v[i], dw_hat, model.drift_b, model.vol_of_price, 100.0)
         assert np.allclose(s, np.exp(ps.x[i]), rtol=1e-12)
 
 
 def test_exact_price_zero_vol_is_deterministic():
     grid = TimeGrid(0.0, 2.0, 10)
-    s = exact_price(
+    s = _exact_price(
         grid,
         np.zeros(11),
         np.zeros(10),
@@ -240,10 +277,85 @@ def test_positivity_report_square_root_model():
     assert positivity_report(ps2).min_v == 0.04
 
 
+@dataclasses.dataclass(frozen=True)
+class _MomentReport:
+    """Sampled moment envelopes versus their model bounds."""
+
+    v_mean_abs: np.ndarray
+    v_bound: np.ndarray
+    v_stderr: np.ndarray
+    v_violations: int
+    x_sup_mean: float
+    x_sup_stderr: float
+    x_bound: float
+    ok: bool
+
+
+def _moment_report(paths: PathSet, model: VolModel, drift_envelope, theta_envelope) -> _MomentReport:
+    """Check sampled E|V_t| and E[sup |X|] against the coefficient envelopes.
+
+    drift_envelope (k, l) bounds sgn(v) zeta(t, v) <= k(t) + l(t)|v| and
+    theta_envelope (k, lam) bounds |theta(t, v)| <= k(t) + lam(t) sqrt(v+),
+    as ``power_envelopes`` states them; violations beyond three standard
+    errors clear the ok flag.
+    """
+    if drift_envelope is None or theta_envelope is None:
+        raise InvariantError("model carries no moment envelopes")
+    k_zeta, l_zeta = drift_envelope
+    k_theta, lam_theta = theta_envelope
+    grid = paths.grid
+    nodes = grid.nodes
+    v = paths.valid_v()
+    x = paths.valid_x()
+    n = v.shape[0]
+
+    av = np.abs(v)
+    v_mean = av.mean(axis=0)
+    v_stderr = av.std(axis=0, ddof=1) / math.sqrt(n)
+
+    # E|V_t| <= e^{int l} |v0| + int_t0^t e^{int_s^t l} k(s) ds, trapezoid in s.
+    l_vals = on_times(l_zeta, nodes)
+    k_vals = on_times(k_zeta, nodes)
+    cum_l = np.concatenate([[0.0], np.cumsum((l_vals[1:] + l_vals[:-1]) * 0.5 * grid.dt)])
+    v_bound = np.empty_like(v_mean)
+    for i in range(len(nodes)):
+        decay = np.exp(cum_l[i] - cum_l[: i + 1])
+        integ = np.trapezoid(decay * k_vals[: i + 1], nodes[: i + 1]) if i > 0 else 0.0
+        v_bound[i] = math.exp(cum_l[i]) * v_mean[0] + integ
+    v_violations = int(np.sum(v_mean > v_bound + 3.0 * v_stderr + 1e-12))
+
+    sup_x = np.abs(x).max(axis=1)
+    x_sup_mean = float(sup_x.mean())
+    x_sup_stderr = float(sup_x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    b_abs = np.abs(on_times(model.drift_b, nodes))
+    kt = on_times(k_theta, nodes)
+    lt = on_times(lam_theta, nodes)
+    int_b_kt2 = float(np.trapezoid(b_abs + kt**2, nodes))
+    int_kt2 = float(np.trapezoid(kt**2, nodes))
+    int_lt2 = float(np.trapezoid(lt**2, nodes))
+    c0 = int_b_kt2 + 2.0 * math.sqrt(int_kt2) + math.sqrt(int_lt2)
+    c1 = int_lt2 + math.sqrt(int_lt2)
+    x_bound = abs(float(x[0, 0])) + c0 + c1 * float(v_mean.max())
+    ok = v_violations == 0 and x_sup_mean <= x_bound + 3.0 * x_sup_stderr
+    return _MomentReport(
+        v_mean_abs=v_mean,
+        v_bound=v_bound,
+        v_stderr=v_stderr,
+        v_violations=v_violations,
+        x_sup_mean=x_sup_mean,
+        x_sup_stderr=x_sup_stderr,
+        x_bound=x_bound,
+        ok=ok,
+    )
+
+
+HESTON_ENVELOPES = power_envelopes(heston_params(k=0.08, l0=2.0, lam=0.3), 0.0)
+
+
 def test_moment_report_bounds_hold():
     grid = TimeGrid(0.0, 1.0, 200)
     ps = simulate_paths(heston_model(), (X0, 0.04), grid, 5000, master_seed=15)
-    rep = moment_report(ps, heston_model())
+    rep = _moment_report(ps, heston_model(), *HESTON_ENVELOPES)
     assert rep.ok
     assert rep.v_violations == 0
     assert rep.x_sup_mean <= rep.x_bound
@@ -254,10 +366,8 @@ def test_moment_report_flags_a_wrong_envelope():
     model = heston_model()
     ps = simulate_paths(model, (X0, 0.04), grid, 5000, master_seed=15)
     # understate the drift envelope: k = 0 forces a decaying bound
-    broken = dataclasses.replace(
-        model, drift_envelope=(lambda t: 0.0, lambda t: -2.0)
-    )
-    rep = moment_report(ps, broken)
+    broken = (lambda t: 0.0, lambda t: -2.0)
+    rep = _moment_report(ps, model, broken, HESTON_ENVELOPES[1])
     assert rep.v_violations > 0 and not rep.ok
 
 
@@ -266,7 +376,7 @@ def test_moment_report_requires_envelopes():
     model = heston_model()
     ps = simulate_paths(model, (X0, 0.04), grid, 50, master_seed=1)
     with pytest.raises(InvariantError, match="envelope"):
-        moment_report(ps, dataclasses.replace(model, drift_envelope=None))
+        _moment_report(ps, model, None, HESTON_ENVELOPES[1])
 
 
 def test_invalid_path_budget_enforced():
@@ -417,8 +527,8 @@ def test_joint_coefficients_step_bit_for_bit_like_the_callables(name, pricing):
 
 
 def test_a_premium_between_the_sampled_times_reaches_the_joint_route():
-    # gamma is zero on the sampled [0, 0.5], so measure_change keeps the drift
-    # envelope, yet the premium acts in the step at t = 0.9
+    # gamma is zero on [0, 0.5], where measure_change samples it, yet the
+    # premium acts in the step at t = 0.9
     params = STEP_PARAMS["heston"]
     model = build_power_model(params, horizon=1.0)
 
@@ -426,7 +536,7 @@ def test_a_premium_between_the_sampled_times_reaches_the_joint_route():
         return np.where(np.asarray(t) > 0.5, 0.4, 0.0)
 
     late = measure_change(model, 0.03, late_gamma, horizon=0.5)
-    assert late.drift_envelope is not None
+    assert sampled_sup(late_gamma, 0.5) == 0.0
     out, ref = stepped(late, reference_coefficients(params, late_gamma), T_STEPS)
     assert out == ref
     plain = measure_change(model, 0.03, 0.0, horizon=0.5)

@@ -16,6 +16,7 @@ from xvamild.volmodel import (
     measure_change,
     on_times,
 )
+from paper_refs import power_envelopes
 
 
 def test_black_scholes_coefficients():
@@ -107,8 +108,9 @@ def test_one_sided_lipschitz_of_power_drift():
 
 
 def test_theta_sublinear_growth():
-    model = build_power_model(PowerParams(theta0=0.1, theta1=0.8))
-    k_fn, lam_fn = model.theta_envelope
+    params = PowerParams(theta0=0.1, theta1=0.8)
+    model = build_power_model(params)
+    k_fn, lam_fn = power_envelopes(params, 0.0)[1]
     v = np.linspace(0.0, 9.0, 200)
     theta = model.vol_of_price(0.5, v)
     assert np.all(np.abs(theta) <= k_fn(0.5) + lam_fn(0.5) * np.sqrt(v) + 1e-12)
@@ -156,9 +158,9 @@ def test_measure_change_requires_flags():
 
 
 def test_drift_envelope_dropped_under_premium():
-    model = build_power_model(heston_params(k=0.08, l0=2.0, lam=0.3))
-    assert measure_change(model, 0.02, 0.5).drift_envelope is None
-    assert measure_change(model, 0.02, 0.0).drift_envelope is not None
+    params = heston_params(k=0.08, l0=2.0, lam=0.3)
+    assert power_envelopes(params, 0.5)[0] is None
+    assert power_envelopes(params, 0.0)[0] is not None
 
 
 # -- the time-function contract ------------------------------------------------
