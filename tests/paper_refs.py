@@ -69,7 +69,7 @@ def pde_residual(spec: MarketSpec, model: VolModel, u: GridFunction) -> np.ndarr
     return res
 
 
-def power_envelopes(params: PowerParams, gamma, horizon: float = 1.0):
+def power_envelopes(params: PowerParams, gamma):
     """(drift envelope, theta envelope) of the power-family model with these
     parameters, under a vol-of-vol premium gamma.
 
@@ -77,12 +77,12 @@ def power_envelopes(params: PowerParams, gamma, horizon: float = 1.0):
     k(t) + l(t)|v|, since every l_i term is <= 0; the theta envelope
     (k, lam) = (|theta0|, |theta1|) bounds |theta(t, v)| <= k(t) +
     lam(t) sqrt(v+).  A premium that is nonzero somewhere on the sampled
-    [0, horizon] adds -gamma eta theta to the drift, which no such
-    envelope bounds in general, so the drift envelope is then None.
+    [0, 1] adds -gamma eta theta to the drift, which no such envelope
+    bounds in general, so the drift envelope is then None.
     """
     k, l0 = as_time_fn(params.k), as_time_fn(params.l0)
     theta0, theta1 = as_time_fn(params.theta0), as_time_fn(params.theta1)
-    drift = (k, lambda t: -l0(t)) if sampled_sup(gamma, horizon) == 0.0 else None
+    drift = (k, lambda t: -l0(t)) if sampled_sup(gamma, 1.0) == 0.0 else None
     return drift, (lambda t: abs(theta0(t)), lambda t: abs(theta1(t)))
 
 
@@ -95,23 +95,25 @@ def _legendre_rule(nodes: int):
 
 
 def heston_capped_call_mean(model: dict, rate: float, horizon: float, strike: float,
-                            cap: float, gamma: float = 0.0, nodes: int = 4000) -> float:
+                            cap: float, nodes: int = 4000) -> float:
     """Exact undiscounted E[min((S_T - strike)+, cap)] under the pricing
-    measure of the heston preset, with constant parameters.
+    measure of the heston preset, with constant parameters and no
+    vol-of-vol premium.
 
     ``model`` holds the preset's s0, v0, k, l0, lam and rho, as a config's
     model section does.  Under the pricing measure the log price drifts at
-    ``rate`` and a vol-of-vol premium gamma turns l0 into l0 + gamma lam,
-    so the law is Heston's (Rev. Financial Studies 6(2), 1993) with mean
-    reversion l0 + gamma lam, long-run level k / (l0 + gamma lam) and vol
-    of vol lam.  The capped call is C(strike) - C(strike + cap), and each
+    ``rate``, so the law is Heston's (Rev. Financial Studies 6(2), 1993)
+    with mean reversion l0, long-run level k / l0 and vol of vol lam.  A
+    premium gamma would turn l0 into l0 + gamma lam; pass that l0.
+
+    The capped call is C(strike) - C(strike + cap), and each
     C(K) = F P1 - K P2 with P_j from Gil-Pelaez inversion of the
     characteristic function in the "little Heston trap" form (Albrecher et
     al., 2007), integrated on a fixed Gauss-Legendre rule of ``nodes``
     nodes over u in [0, 200].
     """
     s0, v0, k, lam, rho = (float(model[key]) for key in ("s0", "v0", "k", "lam", "rho"))
-    kappa = float(model["l0"]) + gamma * lam
+    kappa = float(model["l0"])
     u, w = _legendre_rule(nodes)
 
     def char_fn(u):

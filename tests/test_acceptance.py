@@ -448,6 +448,9 @@ def test_pde_residual_halves_when_grid_halves():
 # -- 10: the book's headline against the exact Heston value --------------------------
 
 BOOK = Path(__file__).resolve().parents[1] / "perfbench" / "book.json"
+# The three oracles below are the exact values of this book's model,
+# market and grid: any edit to those sections of book.json must recompute
+# them (book_mean, and the weight as the last test builds it).
 BOOK_MEAN_ORACLE = 6.335072  # E[phi] of the book's capped call, heston_capped_call_mean
 BOOK_WEIGHT_ORACLE = 0.990069  # W(t0) = exp(int_t0^T m+) on the book
 BOOK_EXACT_ORACLE = 6.27216  # W(t0) E[phi]: the book's value at (t0, s0, v0)

@@ -47,21 +47,43 @@ def test_every_module_level_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unread_public_names(sources, exempt=()) -> list:
-    """Public top-level functions and classes of the module sources in
-    ``sources`` that no module reads: by name, as an attribute, or in a
-    from-import.  A definition does not read its own name; a body that
-    calls it does.  Names in ``exempt`` are skipped."""
+def module_aliases(tree, modules) -> set:
+    """Dotted names under which the tree's imports bind one of ``modules``,
+    the package's module names: ``from . import m as a`` binds ``a``,
+    ``import xvamild.m`` binds ``xvamild.m``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "xvamild"):
+            if node.module in (None, "xvamild"):
+                aliases |= {alias.asname or alias.name for alias in node.names
+                            if alias.name in modules}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "xvamild" and module in modules:
+                    aliases.add(alias.asname or alias.name)
+    return aliases
+
+
+def unread_public_names(modules: dict, exempt=()) -> list:
+    """Public top-level functions and classes of ``modules`` (module name to
+    source) that no module reads: by name, in a from-import, or as an
+    attribute of an imported package module (``simulate.f``; an attribute
+    of any other object does not count).  A definition does not read its
+    own name; a body that calls it does, in its own module too, since the
+    CLI's commands and verify's checks are reached only from tables in
+    their own modules.  Names in ``exempt`` are skipped."""
     defined, read = set(), set()
-    for source in sources:
+    for source in modules.values():
         tree = ast.parse(source)
         defined |= {node.name for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")}
+        aliases = module_aliases(tree, modules)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in aliases:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read |= {alias.name for alias in node.names}
@@ -78,16 +100,23 @@ def traced_functions() -> set:
 
 
 def test_the_check_finds_an_unread_public_name():
-    sources = [
-        ("from .b import used\nimport b\n\nclass Report:\n    pass\n\n"
-         "def orphan():\n    return Report()\n\ndef traced():\n    pass\n\n"
-         "def _private():\n    pass\n"),
-        "def used():\n    pass\n\ndef by_attribute():\n    pass\n\nx = b.by_attribute\n",
-    ]
-    assert unread_public_names(sources) == ["orphan", "traced"]
-    assert unread_public_names(sources, exempt={"traced"}) == ["orphan"]
+    modules = {
+        "a": ("from .b import used\nfrom . import b\nimport xvamild.c\nimport xvamild.c as cc\n\n"
+              "class Report:\n    pass\n\ndef orphan():\n    return Report()\n\n"
+              "def traced():\n    pass\n\ndef _private():\n    pass\n\n"
+              "y = xvamild.c.dotted, cc.aliased\n"),
+        "b": "def used():\n    pass\n\ndef by_attribute():\n    pass\n\nx = a.by_attribute\n",
+        "c": ("def dotted():\n    pass\n\ndef aliased():\n    pass\n\n"
+              "def on_an_object():\n    pass\n\nz = obj.orphan, obj.on_an_object\n"),
+    }
+    # b reads a.by_attribute without importing a, so that read does not count
+    assert unread_public_names(modules) == ["by_attribute", "on_an_object", "orphan", "traced"]
+    assert unread_public_names(modules, exempt={"traced"}) == [
+        "by_attribute", "on_an_object", "orphan"]
+    modules["b"] = modules["b"].replace("x = a.", "from . import a\nx = a.")
+    assert unread_public_names(modules) == ["on_an_object", "orphan", "traced"]
 
 
 def test_every_public_name_has_a_reader_in_the_package():
-    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")]
-    assert unread_public_names(sources, exempt=traced_functions()) == []
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unread_public_names(modules, exempt=traced_functions()) == []
